@@ -56,6 +56,8 @@ def load_checkpoint(path):
         raise FormatError("checkpoint is missing its metadata records")
     dq, dmax = records.pop(META_STATS)[0]
     kind_code, n_classes, state_dim, features, w, h = records.pop(META_MODEL)[0]
+    if not (float(kind_code).is_integer() and 0 <= kind_code < len(MODEL_KINDS)):
+        raise FormatError(f"unknown model kind code {kind_code!r}")
     config = None
     blob = records.pop(META_CONFIG, None)
     if blob is not None:

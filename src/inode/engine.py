@@ -11,8 +11,13 @@ Matrices are plain 2-D C-order ``numpy.float64`` arrays (biases travel as
 
 A tape is append-only and therefore topologically ordered; ``backward``
 visits it exactly once in reverse.  Tapes are rebuilt per batch and must
-stay confined to one worker.
+stay confined to one worker.  A tape owns its nodes and a node refers
+back to its tape weakly, so a tape and everything recorded on it are
+freed by reference counting as soon as the last reference to the tape
+goes, without waiting for the cycle collector.
 """
+
+import weakref
 
 import numpy as np
 
@@ -22,15 +27,23 @@ from .errors import ShapeError
 class Node:
     """One recorded value: a parameter leaf, a constant, or an op output."""
 
-    __slots__ = ("tape", "value", "parents", "grad_fn", "needs_grad", "name")
+    __slots__ = ("_tape", "value", "parents", "grad_fn", "needs_grad", "name")
 
     def __init__(self, tape, value, parents=(), grad_fn=None, needs_grad=False, name=None):
-        self.tape = tape
+        self._tape = weakref.ref(tape)
         self.value = value
         self.parents = parents
         self.grad_fn = grad_fn
         self.needs_grad = needs_grad
         self.name = name
+
+    @property
+    def tape(self):
+        """The tape this node was recorded on; it must still be referenced."""
+        tape = self._tape()
+        if tape is None:
+            raise ValueError("the tape this node was recorded on has been freed")
+        return tape
 
 
 class Tape:
@@ -66,9 +79,6 @@ class Tape:
         node = Node(self, value, parents, grad_fn if needs else None, needs_grad=needs)
         self.nodes.append(node)
         return node
-
-    def param_names(self):
-        return list(self._params)
 
 
 def _value(x):

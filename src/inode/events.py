@@ -112,12 +112,6 @@ class EventSequence:
             label=self.label, sensor_dims=self.sensor_dims, validate=False,
         )
 
-    def with_label(self, label):
-        return EventSequence(
-            self.xs, self.ys, self.ps, self.ts,
-            label=label, sensor_dims=self.sensor_dims, validate=False,
-        )
-
 
 class Dataset:
     """A list of event sequences sharing one sensor plus the class count."""
@@ -228,7 +222,12 @@ def read_manifest(root):
     path = Path(root) / "manifest.json"
     sensor, fmt = DEFAULT_SENSOR, "aer"
     if path.exists():
-        meta = json.loads(path.read_text())
+        try:
+            meta = json.loads(path.read_text())
+        except ValueError as exc:
+            raise DatasetError(f"unreadable manifest {path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DatasetError(f"manifest {path} is not a JSON object")
         if "sensor" in meta:
             sensor = (int(meta["sensor"][0]), int(meta["sensor"][1]))
         fmt = meta.get("format", fmt)

@@ -48,10 +48,6 @@ def state_dim_of(store):
     return store["fc1_w"].shape[0]
 
 
-def feature_dim_of(store):
-    return store["fcu_w"].shape[0]
-
-
 def class_count_of(store):
     return store["fcc_w"].shape[1]
 
@@ -62,25 +58,56 @@ def _binder(store, tape):
     return lambda name: tape.param(name, store[name])
 
 
-def f_eval(h, u, store, tape=None):
-    """State derivative f(h, u) for a batch of rows."""
-    p = _binder(store, tape)
-    a = en.concat(
-        en.add(en.matmul(h, p("fc1_w")), p("fc1_b")),
-        en.add(en.matmul(u, p("fcu_w")), p("fcu_b")),
-    )
-    a = en.tanh(en.add(en.matmul(en.tanh(a), p("fc2_w")), p("fc2_b")))
-    return en.add(en.matmul(a, p("fc3_w")), p("fc3_b"))
+def _f_layers(h, u, store):
+    """f(h, u) for a batch of rows, with the two tanh activations inside it."""
+    hidden = np.tanh(np.concatenate(
+        [h @ store["fc1_w"] + store["fc1_b"], u @ store["fcu_w"] + store["fcu_b"]], axis=1))
+    act = np.tanh(hidden @ store["fc2_w"] + store["fc2_b"])
+    return hidden, act, act @ store["fc3_w"] + store["fc3_b"]
+
+
+def f_eval(h, u, store):
+    """State derivative f(h, u) for a batch of rows of plain arrays."""
+    return _f_layers(h, u, store)[2]
 
 
 def euler_step(h, u, dtau, store, tape=None, dynamics=None):
     """One explicit Euler update h + dtau * f(h, u).
 
     ``dtau`` is a [B x 1] column (or scalar) of normalized steps;
-    ``dynamics`` may replace f for solver tests.
+    ``dynamics`` may replace f for solver tests, as a function
+    ``(h, u, store, tape)`` built from engine ops.  Without it the step is
+    one fused op: on a tape it records a single node whose adjoint reuses
+    h, u, dtau and the two tanh activations, so nothing else of the step
+    stays alive until backward.
     """
-    dh = (dynamics or f_eval)(h, u, store, tape)
-    return en.add(h, en.mul(dtau, dh))
+    if dynamics is not None:
+        return en.add(h, en.mul(dtau, dynamics(h, u, store, tape)))
+    hv = _val(h)
+    hidden, act, dh = _f_layers(hv, u, store)
+    out = hv + dtau * dh
+    if tape is None:
+        return out
+    w1, w2, w3 = store["fc1_w"], store["fc2_w"], store["fc3_w"]
+    width = w1.shape[1]
+
+    # the generic ops' adjoints, product for product and in their order,
+    # so the gradients equal those of the unfused tape bit for bit
+    def grad_fn(g):
+        gd = g * dtau
+        gz2 = (gd @ w3.T) * (1.0 - act * act)
+        gz1 = (gz2 @ w2.T) * (1.0 - hidden * hidden)
+        gh, gu = gz1[:, :width], gz1[:, width:]
+        return (g + gh @ w1.T,
+                hv.T @ gh, gh.sum(axis=0, keepdims=True),
+                u.T @ gu, gu.sum(axis=0, keepdims=True),
+                hidden.T @ gz2, gz2.sum(axis=0, keepdims=True),
+                act.T @ gd, gd.sum(axis=0, keepdims=True))
+
+    p = _binder(store, tape)
+    parents = (h, p("fc1_w"), p("fc1_b"), p("fcu_w"), p("fcu_b"),
+               p("fc2_w"), p("fc2_b"), p("fc3_w"), p("fc3_b"))
+    return tape.record(out, parents, grad_fn)
 
 
 def classify(h, store, tape=None):

@@ -111,12 +111,9 @@ def serve_tcp(ckpt, host, port):
 
 
 def load_replay(path, sensor_dims):
+    """Decode a recording in the format named by the manifest beside it."""
     path = Path(path)
-    manifest_dir = path.parent
-    try:
-        _, fmt = read_manifest(manifest_dir)
-    except Exception:
-        fmt = "aer"
+    _, fmt = read_manifest(path.parent)
     decode = parse_aer if fmt == "aer" else parse_aer16
     return decode(path.read_bytes(), sensor_dims=sensor_dims)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from inode import engine as en
+
 
 def central_difference(loss_fn, store, names=None, h=1e-6):
     """Finite-difference gradient of loss_fn() w.r.t. every store entry.
@@ -65,3 +67,19 @@ def cross_entropy_direct(logits, labels):
         probs.append(p)
         losses.append(-np.log(p[label]))
     return float(np.mean(losses)), np.array(probs)
+
+
+def f_ops(h, u, store, tape=None):
+    """The INODE dynamics f(h, u) composed from generic engine ops.
+
+    Passed as ``dynamics=`` it makes ``model.euler_step`` record every
+    matmul, add, concat and tanh on the tape: the reference for the
+    fused step's hand-derived adjoint.
+    """
+    p = store.__getitem__ if tape is None else (lambda n: tape.param(n, store[n]))
+    a = en.concat(
+        en.add(en.matmul(h, p("fc1_w")), p("fc1_b")),
+        en.add(en.matmul(u, p("fcu_w")), p("fcu_b")),
+    )
+    a = en.tanh(en.add(en.matmul(en.tanh(a), p("fc2_w")), p("fc2_b")))
+    return en.add(en.matmul(a, p("fc3_w")), p("fc3_b"))

@@ -1,16 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import inode
 
 TINY_DATA = ["--synthetic", "movedot2", "--train-count", "24", "--test-count", "12",
              "--synth-events", "120"]
 TINY = TINY_DATA + ["--s-len", "20", "--batch", "12"]
 
 
+# the child process runs the same package the tests import
+SRC = str(Path(inode.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args, stdin=None):
-    return subprocess.run([sys.executable, "-m", "inode.cli", *args],
+    return subprocess.run([sys.executable, "-m", "inode.cli", *args], env=CHILD_ENV,
                           capture_output=True, text=True, input=stdin, timeout=300)
 
 

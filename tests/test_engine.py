@@ -1,10 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from helpers import central_difference, cross_entropy_direct, matmul_triple_loop, max_rel_err
 from inode import engine as en
+from inode import lstm, model
 from inode.errors import ShapeError
 from inode.params import ParamStore
+from inode.preprocess import Batch
 
 
 def test_matmul_identity():
@@ -216,3 +221,35 @@ def test_bias_row_broadcast_gradient():
     grads = en.backward(tape, run(tape))
     # gradient of the bias row sums over the batch axis
     assert np.array_equal(grads["b"], np.arange(12, dtype=float).reshape(4, 3).sum(axis=0, keepdims=True))
+
+
+@pytest.mark.parametrize("module,store", [
+    (model, model.init_params(np.random.default_rng(8), 3, state_dim=4, width=6)),
+    (lstm, lstm.init_params(np.random.default_rng(9), 3, hidden=5)),
+], ids=["inode", "lstm"])
+def test_bptt_tape_freed_on_return_without_collector(monkeypatch, module, store):
+    tapes = []
+
+    class WatchedTape(en.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(en, "Tape", WatchedTape)
+    rng = np.random.default_rng(10)
+    batch = Batch(rng.uniform(-1, 1, (2, 5, 3)), rng.uniform(0, 1, (2, 5)), np.array([0, 2]))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        module.backward_bptt(batch, store)
+        assert len(tapes) == 1
+        assert tapes[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_node_outliving_its_tape_refuses_new_ops():
+    node = en.Tape().const(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="freed"):
+        en.tanh(node)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import central_difference, max_rel_err
+from helpers import central_difference, f_ops, max_rel_err
 from inode import engine as en
 from inode import model
 from inode.preprocess import Batch, TimeStats, normalize_dt, normalize_sequence
@@ -166,6 +167,59 @@ def test_zero_steps_freeze_dynamics_gradients():
     # the state never leaves zero, so only the classifier bias keeps training
     assert np.allclose(grads["fcc_w"], 0.0)
     assert not np.allclose(grads["fcc_b"], 0.0)
+
+
+def _paper_batch(seed=0, b=100, s=100, n_classes=10):
+    rng = np.random.default_rng(seed)
+    return Batch(inputs=rng.uniform(-1, 1, (b, s, 3)), dtaus=rng.uniform(0, 1, (b, s)),
+                 labels=rng.integers(0, n_classes, b))
+
+
+@pytest.mark.parametrize("case", ["plain", "learnable_h0", "zero_dtaus", "one_step"])
+def test_fused_step_gradients_equal_generic_tape(case):
+    store = model.init_params(np.random.default_rng(91), 3, state_dim=4, width=6,
+                              learnable_h0=case == "learnable_h0")
+    rng = np.random.default_rng(92)
+    for name in store.names():
+        store[name][:] = rng.uniform(-0.5, 0.5, store[name].shape)
+    batch = _tiny_batch(seed=93, b=5, s=1 if case == "one_step" else 7)
+    if case == "zero_dtaus":
+        batch = Batch(batch.inputs, np.zeros_like(batch.dtaus), batch.labels)
+    fused, fused_loss = model.backward_bptt(batch, store)
+    generic, generic_loss = model.backward_bptt(batch, store, dynamics=f_ops)
+    assert fused_loss == generic_loss
+    assert sorted(fused) == sorted(generic) == sorted(store.names())
+    for name, want in generic.items():
+        scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
+        assert np.abs(fused[name] - want).max() <= 1e-12 * scale, name
+
+
+def test_fused_step_forward_equals_generic_ops_bitwise():
+    store = model.init_params(np.random.default_rng(94), n_classes=10)
+    batch = _paper_batch(seed=95, b=20, s=30)
+    fused = model.forward(batch, store, tape=en.Tape())
+    generic = model.forward(batch, store, tape=en.Tape(), dynamics=f_ops)
+    assert np.array_equal(fused.logits, generic.logits)
+    assert np.array_equal(fused.logits, model.forward(batch, store).logits)
+
+
+def test_paper_batch_records_one_node_per_euler_step():
+    store = model.init_params(np.random.default_rng(96), n_classes=10)
+    tape = en.Tape()
+    model.forward(_paper_batch(seed=97), store, tape=tape)
+    assert len(tape.nodes) <= 600
+
+
+def test_paper_batch_bptt_peak_memory():
+    store = model.init_params(np.random.default_rng(98), n_classes=10)
+    batch = _paper_batch(seed=99)
+    tracemalloc.start()
+    try:
+        model.backward_bptt(batch, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
 def test_doubling_loss_scale_doubles_gradients():

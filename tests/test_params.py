@@ -3,9 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from inode.checkpoint import load_checkpoint, save_checkpoint
+from inode.checkpoint import META_MODEL, load_checkpoint, save_checkpoint
 from inode.errors import FormatError, ShapeError
-from inode.params import MAGIC, ParamStore, load_records, store_to_bytes, uniform_init
+from inode.params import (MAGIC, ParamStore, load_records, save_store, store_to_bytes,
+                          uniform_init)
 from inode.preprocess import TimeStats
 
 
@@ -96,7 +97,18 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_without_metadata_rejected(tmp_path):
     store = _example_store()
     path = tmp_path / "bare.ckpt"
-    from inode.params import save_store
     save_store(store, path)
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("code", [3.0, -1.0, 2.5, float("nan")])
+def test_corrupt_model_kind_code_rejected(tmp_path, code):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _example_store(), TimeStats(dq=1.0), kind="lstm", n_classes=2,
+                    state_dim=5, features=4, sensor_dims=(34, 34))
+    records = load_records(path)
+    records[META_MODEL][0, 0] = code
+    save_store(ParamStore(), path, extra=list(records.items()))
+    with pytest.raises(FormatError, match="kind code"):
         load_checkpoint(path)

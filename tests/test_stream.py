@@ -9,6 +9,7 @@ from inode import model, stream
 from inode.checkpoint import Checkpoint, save_checkpoint, load_checkpoint
 from inode.preprocess import TimeStats
 from inode.synth import moving_dot
+from inode.errors import DatasetError
 from inode.events import write_aer
 
 
@@ -158,6 +159,15 @@ def test_replay_file_round_trip(tmp_path):
     n = stream.replay_events(loaded, _session(ckpt), out, pace=False)
     assert n == 60
     assert len(out.getvalue().strip().split("\n")) == 60
+
+
+@pytest.mark.parametrize("manifest", ['{"format": "aer32"}', '{"format": "aer16"', '["aer16"]'])
+def test_replay_rejects_bad_manifest(tmp_path, manifest):
+    path = tmp_path / "events.bin"
+    path.write_bytes(write_aer(moving_dot(0, seed=9, n_events=10)))
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(DatasetError):
+        stream.load_replay(path, (34, 34))
 
 
 def test_fast_replay_agrees_with_per_event_path():
