@@ -58,6 +58,11 @@ def load_checkpoint(path):
     kind_code, n_classes, state_dim, features, w, h = records.pop(META_MODEL)[0]
     if not (float(kind_code).is_integer() and 0 <= kind_code < len(MODEL_KINDS)):
         raise FormatError(f"unknown model kind code {kind_code!r}")
+    geometry = {"n_classes": n_classes, "state_dim": state_dim, "features": features,
+                "sensor width": w, "sensor height": h}
+    for field, value in geometry.items():
+        if not (float(value).is_integer() and value > 0):
+            raise FormatError(f"checkpoint {field} must be a positive integer, got {value!r}")
     config = None
     blob = records.pop(META_CONFIG, None)
     if blob is not None:
@@ -67,6 +72,9 @@ def load_checkpoint(path):
         if name.startswith("__meta__/"):
             continue
         store.add(name, value)
+    if "fcc_w" in store and store["fcc_w"].shape[1] != n_classes:
+        raise FormatError(f"checkpoint n_classes {int(n_classes)} disagrees with its "
+                          f"{store['fcc_w'].shape[1]}-class read-out")
     return Checkpoint(
         store=store,
         stats=TimeStats(dq=float(dq), dmax=float(dmax)),

@@ -182,12 +182,15 @@ def sigmoid(a):
 
 
 def _sigmoid(x):
-    # evaluate exp on the negative half-line only, so it never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows; the numerator max(e, x >= 0) is 1 for
+    # x >= 0 and e below (e <= 1).  min(x, -x) keeps a NaN's sign, so every
+    # bit equals splitting the array by sign, without masks or branches.
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0, out=np.empty_like(x))
+    e += 1.0
+    out /= e
     return out
 
 

@@ -229,7 +229,11 @@ def read_manifest(root):
         if not isinstance(meta, dict):
             raise DatasetError(f"manifest {path} is not a JSON object")
         if "sensor" in meta:
-            sensor = (int(meta["sensor"][0]), int(meta["sensor"][1]))
+            sensor = meta["sensor"]
+            if not (isinstance(sensor, list) and len(sensor) == 2
+                    and all(type(n) is int and n > 0 for n in sensor)):
+                raise DatasetError(f"manifest sensor must be two positive integers, got {sensor!r}")
+            sensor = tuple(sensor)
         fmt = meta.get("format", fmt)
         if fmt not in ("aer", "aer16"):
             raise DatasetError(f"unknown record format {fmt!r} in manifest")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine as en
 from .params import ParamStore, uniform_init
-from .preprocess import normalize_dt, normalize_input
+from .preprocess import REGRESSION_WARNING, normalize_dt, normalize_input
 
 GATES = ("i", "f", "g", "o")
 INPUT_DIM = 4
@@ -49,24 +49,60 @@ def is_bidirectional(store):
     return "bwd_wi" in store
 
 
-def _gate(p, prefix, gate, u, h):
-    return en.add(
-        en.add(en.matmul(u, p(f"{prefix}_w{gate}")), en.matmul(h, p(f"{prefix}_u{gate}"))),
-        p(f"{prefix}_b{gate}"),
-    )
+def _pre(u, h, store, prefix, gate):
+    """A gate's pre-activation (u W + h U) + b: two products per gate."""
+    z = u @ store[f"{prefix}_w{gate}"]
+    z += h @ store[f"{prefix}_u{gate}"]
+    z += store[f"{prefix}_b{gate}"]
+    return z
 
 
 def lstm_step(state, u, store, tape=None, prefix="fwd"):
-    """Standard LSTM cell: sigmoid gates, tanh candidate and output."""
+    """Standard LSTM cell: sigmoid gates, tanh candidate and output.
+
+    On a tape the step records two fused ops, the new cell state c and
+    the new output h.  Their hand-derived adjoints keep only u, h, c, the
+    four gate activations and tanh(c) of the step, and follow the
+    generic ops' adjoints product for product and in their order, so the
+    gradients equal those of the cell spelled out in engine ops.
+    """
     h, c = state
-    p = store.__getitem__ if tape is None else (lambda name: tape.param(name, store[name]))
-    i = en.sigmoid(_gate(p, prefix, "i", u, h))
-    f = en.sigmoid(_gate(p, prefix, "f", u, h))
-    g = en.tanh(_gate(p, prefix, "g", u, h))
-    o = en.sigmoid(_gate(p, prefix, "o", u, h))
-    c_new = en.add(en.mul(f, c), en.mul(i, g))
-    h_new = en.mul(o, en.tanh(c_new))
-    return h_new, c_new
+    hv, cv = _val(h), _val(c)
+    i = en.sigmoid(_pre(u, hv, store, prefix, "i"))
+    f = en.sigmoid(_pre(u, hv, store, prefix, "f"))
+    g = np.tanh(_pre(u, hv, store, prefix, "g"))
+    o = en.sigmoid(_pre(u, hv, store, prefix, "o"))
+    c_new = f * cv + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+    if tape is None:
+        return h_new, c_new
+    # bind the leaves in the generic cell's order, which fixes the order
+    # of the gradient dictionary that ``engine.backward`` returns
+    leaves = {gate: [tape.param(name, store[name])
+                     for name in (f"{prefix}_w{gate}", f"{prefix}_u{gate}", f"{prefix}_b{gate}")]
+              for gate in GATES}
+    ui, uf, ug, uo = (leaves[gate][1].value for gate in GATES)
+
+    def gate_grads(gz):
+        return u.T @ gz, hv.T @ gz, gz.sum(axis=0, keepdims=True)
+
+    def c_grad(gc):
+        gi = gc * g * i * (1.0 - i)
+        gf = gc * cv * f * (1.0 - f)
+        gg = gc * i * (1.0 - g * g)
+        # h feeds one product per gate; listing it once per gate, in the
+        # generic tape's reverse order, keeps its summation order
+        return (gc * f, gg @ ug.T, gf @ uf.T, gi @ ui.T,
+                *gate_grads(gi), *gate_grads(gf), *gate_grads(gg))
+
+    def h_grad(gh):
+        go = gh * tc * o * (1.0 - o)
+        return (gh * o * (1.0 - tc * tc), go @ uo.T, *gate_grads(go))
+
+    c_node = tape.record(c_new, (c, h, h, h, *leaves["i"], *leaves["f"], *leaves["g"]), c_grad)
+    h_node = tape.record(h_new, (c_node, h, *leaves["o"]), h_grad)
+    return h_node, c_node
 
 
 def classify(h, store, tape=None):
@@ -94,8 +130,12 @@ def _zero_state(b, hidden, tape):
     return tape.const(h), tape.const(c)
 
 
-def forward(batch, store, tape=None):
-    """Unidirectional pass: read-out after every step, per-step averaged loss."""
+def forward(batch, store, tape=None, cell=lstm_step):
+    """Unidirectional pass: read-out after every step, per-step averaged loss.
+
+    ``cell`` may replace the fused cell for tests, as a function with the
+    signature of ``lstm_step``.
+    """
     feats = batch.features_with_dt()
     b, s = batch.size, batch.steps
     state = _zero_state(b, hidden_dim_of(store), tape)
@@ -103,7 +143,7 @@ def forward(batch, store, tape=None):
     logits = np.empty((b, s, class_count_of(store)))
     loss_acc = None
     for i in range(s):
-        state = lstm_step(state, feats[:, i, :], store, tape)
+        state = cell(state, feats[:, i, :], store, tape)
         z = classify(state[0], store, tape)
         logits[:, i, :] = _val(z)
         if with_loss:
@@ -118,7 +158,7 @@ def forward(batch, store, tape=None):
     )
 
 
-def forward_bidirectional(batch, store, tape=None):
+def forward_bidirectional(batch, store, tape=None, cell=lstm_step):
     """Both directions over the whole window; classify the joined final states."""
     feats = batch.features_with_dt()
     b, s = batch.size, batch.steps
@@ -126,8 +166,8 @@ def forward_bidirectional(batch, store, tape=None):
     fwd = _zero_state(b, hidden, tape)
     bwd = _zero_state(b, hidden, tape)
     for i in range(s):
-        fwd = lstm_step(fwd, feats[:, i, :], store, tape, prefix="fwd")
-        bwd = lstm_step(bwd, feats[:, s - 1 - i, :], store, tape, prefix="bwd")
+        fwd = cell(fwd, feats[:, i, :], store, tape, prefix="fwd")
+        bwd = cell(bwd, feats[:, s - 1 - i, :], store, tape, prefix="bwd")
     joined = en.concat(fwd[0], bwd[0])
     z = classify(joined, store, tape)
     with_loss = bool(np.all(batch.labels >= 0))
@@ -142,11 +182,11 @@ def forward_bidirectional(batch, store, tape=None):
     )
 
 
-def backward_bptt(batch, store):
+def backward_bptt(batch, store, cell=lstm_step):
     """Exact gradients of the window loss for every parameter."""
     tape = en.Tape()
     run = forward_bidirectional if is_bidirectional(store) else forward
-    result = run(batch, store, tape=tape)
+    result = run(batch, store, tape=tape, cell=cell)
     if result.loss_node is None:
         raise ValueError("cannot differentiate an unlabeled batch")
     return en.backward(tape, result.loss_node), result.loss
@@ -167,6 +207,7 @@ class OnlineLstm:
         hidden = hidden_dim_of(self.store)
         self.state = (np.zeros((1, hidden)), np.zeros((1, hidden)))
         self._last_t = None
+        self.regressions = 0
 
     def observe(self, event):
         if self._last_t is None:
@@ -174,8 +215,9 @@ class OnlineLstm:
         else:
             dt = event.t - self._last_t
             if dt < 0:
-                warnings.warn(f"timestamp regression ({self._last_t} -> {event.t}); clamping to 0",
-                              stacklevel=2)
+                self.regressions += 1
+                if self.regressions == 1:
+                    warnings.warn(REGRESSION_WARNING, stacklevel=2)
                 dt = 0
         u3 = normalize_input(event, self.sensor_dims)
         u = np.concatenate([u3, [normalize_dt(dt, self.stats)]]).reshape(1, INPUT_DIM)

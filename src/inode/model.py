@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine as en
 from .params import ParamStore, uniform_init
-from .preprocess import normalize_dt, normalize_input
+from .preprocess import REGRESSION_WARNING, normalize_dt, normalize_input
 
 STATE_DIM = 30
 WIDTH = 128
@@ -203,18 +203,21 @@ class OnlineClassifier:
         self.state = self._h0.copy()
         self._held_u = None
         self._last_t = None
+        self.regressions = 0
 
     def observe(self, event):
         """Consume one event; returns (predicted class, posterior row).
 
         Ties in the arg-max break toward the lowest class index.  An event
-        older than its predecessor is clamped to a zero gap with a warning.
+        older than its predecessor is clamped to a zero gap and counted in
+        ``regressions``; only the first one since ``reset`` warns.
         """
         if self._held_u is not None:
             dt = event.t - self._last_t
             if dt < 0:
-                warnings.warn(f"timestamp regression ({self._last_t} -> {event.t}); clamping to 0",
-                              stacklevel=2)
+                self.regressions += 1
+                if self.regressions == 1:
+                    warnings.warn(REGRESSION_WARNING, stacklevel=2)
                 dt = 0
             dtau = np.asarray(normalize_dt(dt, self.stats)).reshape(1, 1)
             self.state = euler_step(self.state, self._held_u, dtau, self.store)

@@ -16,6 +16,11 @@ from .errors import DatasetError
 
 QUANTILE_PERCENT = 98
 
+# one fixed text, so Python's warning registry keeps one entry however
+# many sessions see a regression
+REGRESSION_WARNING = ("timestamp regression: gap clamped to 0; this session counts "
+                      "further regressions in .regressions without warning")
+
 
 @dataclass(frozen=True)
 class TimeStats:

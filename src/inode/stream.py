@@ -134,18 +134,22 @@ def replay_events(seq, session, outfile, pace=True):
 
 
 def fast_replay(seq, ckpt, outfile, chunk=4096):
-    """Full-speed replay for the ODE classifier.
+    """Full-speed replay, writing the lines the per-event session would.
 
-    Semantics match the per-event session (sample-and-hold, one line per
-    event) but the input projections, read-outs and softmax run batched
-    per chunk, leaving only the sequential state recursion per event.
-    Returns (events, seconds spent in processing).
+    For the ODE classifier (sample-and-hold, one line per event) the input
+    projections, read-outs and softmax run batched per chunk, leaving only
+    the sequential state recursion per event.  Other models feed each
+    decoded event straight to their online classifier, without the text
+    round trip of the line protocol.  Returns (events, seconds spent in
+    processing).
     """
     if ckpt.kind != "inode":
-        session = LineSession(make_session(ckpt))
+        classifier = make_session(ckpt)
         t0 = time.perf_counter()
-        n = replay_events(seq, session, outfile, pace=False)
-        return n, time.perf_counter() - t0
+        for event in seq:
+            pred, posterior = classifier.observe(event)
+            outfile.write(format_prediction(event.t, pred, posterior) + "\n")
+        return len(seq), time.perf_counter() - t0
     store, stats = ckpt.store, ckpt.stats
     w1, b1 = store["fc1_w"], store["fc1_b"][0]
     w2 = store["fc2_w"]

@@ -83,3 +83,38 @@ def f_ops(h, u, store, tape=None):
     )
     a = en.tanh(en.add(en.matmul(en.tanh(a), p("fc2_w")), p("fc2_b")))
     return en.add(en.matmul(a, p("fc3_w")), p("fc3_b"))
+
+
+def lstm_ops(state, u, store, tape=None, prefix="fwd"):
+    """The LSTM cell composed from generic engine ops.
+
+    Passed as ``cell=`` it makes the LSTM record every matmul, add, mul,
+    sigmoid and tanh on the tape: the reference for ``lstm.lstm_step``'s
+    hand-derived adjoints.
+    """
+    h, c = state
+    p = store.__getitem__ if tape is None else (lambda n: tape.param(n, store[n]))
+
+    def gate(name):
+        return en.add(en.add(en.matmul(u, p(f"{prefix}_w{name}")),
+                             en.matmul(h, p(f"{prefix}_u{name}"))),
+                      p(f"{prefix}_b{name}"))
+
+    i = en.sigmoid(gate("i"))
+    f = en.sigmoid(gate("f"))
+    g = en.tanh(gate("g"))
+    o = en.sigmoid(gate("o"))
+    c_new = en.add(en.mul(f, c), en.mul(i, g))
+    return en.mul(o, en.tanh(c_new)), c_new
+
+
+def sigmoid_masked(x):
+    """The logistic function split by sign with boolean masks, so that
+    exp only sees the negative half-line: the reference for
+    ``engine._sigmoid``."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

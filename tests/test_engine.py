@@ -4,7 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import central_difference, cross_entropy_direct, matmul_triple_loop, max_rel_err
+from helpers import (central_difference, cross_entropy_direct, matmul_triple_loop, max_rel_err,
+                     sigmoid_masked)
 from inode import engine as en
 from inode import lstm, model
 from inode.errors import ShapeError
@@ -253,3 +254,10 @@ def test_node_outliving_its_tape_refuses_new_ops():
     node = en.Tape().const(np.ones((2, 2)))
     with pytest.raises(ValueError, match="freed"):
         en.tanh(node)
+
+
+def test_sigmoid_equals_masked_formula_bitwise():
+    gates = np.random.default_rng(11).standard_normal((100, 72)) * 5.0
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0])
+    for x in (gates, edges):
+        assert np.array_equal(en._sigmoid(x).view(np.uint64), sigmoid_masked(x).view(np.uint64))

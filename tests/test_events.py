@@ -6,7 +6,8 @@ import pytest
 from inode.errors import DatasetError, FormatError
 from inode.events import (
     Dataset, Event, EventSequence, T_WRAP, filter_by_event_count, load_dataset,
-    parse_aer, parse_aer16, split_dataset, subset_fraction, write_aer, write_aer16,
+    parse_aer, parse_aer16, read_manifest, split_dataset, subset_fraction, write_aer,
+    write_aer16,
 )
 
 
@@ -159,6 +160,13 @@ def test_manifest_selects_aer16(tmp_path):
     _write_dataset(tmp_path, {"x": 2}, fmt="aer16", sensor=(240, 180))
     ds = load_dataset(tmp_path)
     assert ds.sensor_dims == (240, 180)
+
+
+@pytest.mark.parametrize("sensor", ["ab", 5, [0, -5]])
+def test_manifest_rejects_bad_sensor(tmp_path, sensor):
+    (tmp_path / "manifest.json").write_text(json.dumps({"sensor": sensor}))
+    with pytest.raises(DatasetError, match="sensor"):
+        read_manifest(tmp_path)
 
 
 def test_subset_fraction_keeps_ceil(tmp_path):

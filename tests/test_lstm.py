@@ -1,6 +1,9 @@
-import numpy as np
+import tracemalloc
 
-from helpers import central_difference, max_rel_err
+import numpy as np
+import pytest
+
+from helpers import central_difference, lstm_ops, max_rel_err
 from inode import engine as en
 from inode import lstm
 from inode.preprocess import Batch, TimeStats, make_batch
@@ -129,3 +132,58 @@ def test_training_runs_are_bit_reproducible():
     a, b = run(), run()
     for name in a.names():
         assert np.array_equal(a[name], b[name])
+
+
+def _paper_batch(seed=0, b=100, s=100, n_classes=10):
+    rng = np.random.default_rng(seed)
+    return Batch(inputs=rng.uniform(-1, 1, (b, s, 3)), dtaus=rng.uniform(0, 1, (b, s)),
+                 labels=rng.integers(0, n_classes, b))
+
+
+@pytest.mark.parametrize("case", ["plain", "bidirectional", "one_step", "zero_weights"])
+def test_fused_cell_gradients_equal_generic_tape(case):
+    store = _store(seed=17, hidden=6, bidirectional=case == "bidirectional")
+    rng = np.random.default_rng(18)
+    for name in store.names():
+        store[name][:] = 0.0 if case == "zero_weights" else rng.uniform(-0.8, 0.8, store[name].shape)
+    batch = _batch(seed=19, b=5, s=1 if case == "one_step" else 7)
+    fused, fused_loss = lstm.backward_bptt(batch, store)
+    generic, generic_loss = lstm.backward_bptt(batch, store, cell=lstm_ops)
+    assert fused_loss == generic_loss
+    assert list(fused) == list(generic)
+    assert sorted(fused) == sorted(store.names())
+    for name, want in generic.items():
+        scale = max(float(np.abs(want).max()), np.finfo(float).tiny)
+        assert np.abs(fused[name] - want).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_fused_cell_forward_equals_generic_ops_bitwise(bidirectional):
+    store = _store(seed=20, n_classes=10, hidden=72, bidirectional=bidirectional)
+    batch = _paper_batch(seed=21, b=20, s=30)
+    run = lstm.forward_bidirectional if bidirectional else lstm.forward
+    fused = run(batch, store, tape=en.Tape())
+    generic = run(batch, store, tape=en.Tape(), cell=lstm_ops)
+    assert np.array_equal(fused.logits, generic.logits)
+    assert fused.loss == generic.loss
+    assert np.array_equal(fused.logits, run(batch, store).logits)
+    assert np.array_equal(fused.logits, run(batch, store, cell=lstm_ops).logits)
+
+
+def test_paper_batch_records_two_nodes_per_cell_step():
+    store = _store(seed=22, n_classes=10, hidden=72)
+    tape = en.Tape()
+    lstm.forward(_paper_batch(seed=23), store, tape=tape)
+    assert len(tape.nodes) <= 700
+
+
+def test_paper_batch_bptt_peak_memory():
+    store = _store(seed=24, n_classes=10, hidden=72)
+    batch = _paper_batch(seed=25)
+    tracemalloc.start()
+    try:
+        lstm.backward_bptt(batch, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"

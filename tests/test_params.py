@@ -112,3 +112,34 @@ def test_corrupt_model_kind_code_rejected(tmp_path, code):
     save_store(ParamStore(), path, extra=list(records.items()))
     with pytest.raises(FormatError, match="kind code"):
         load_checkpoint(path)
+
+
+def _patched_checkpoint(path, column, value, store=None):
+    save_checkpoint(path, store if store is not None else _example_store(), TimeStats(dq=1.0),
+                    kind="lstm", n_classes=2, state_dim=5, features=4, sensor_dims=(34, 34))
+    records = load_records(path)
+    records[META_MODEL][0, column] = value
+    save_store(ParamStore(), path, extra=list(records.items()))
+
+
+# columns of the model record: kind, n_classes, state_dim, features, width, height
+@pytest.mark.parametrize("column,value", [
+    (4, float("nan")), (4, -5.0), (5, 0.0), (1, float("inf")), (1, 1.5), (2, -1.0),
+    (3, float("nan")),
+])
+def test_corrupt_model_geometry_rejected(tmp_path, column, value):
+    path = tmp_path / "model.ckpt"
+    _patched_checkpoint(path, column, value)
+    with pytest.raises(FormatError, match="positive integer"):
+        load_checkpoint(path)
+
+
+def test_class_count_disagreeing_with_readout_rejected(tmp_path):
+    store = _example_store()
+    store.add("fcc_w", np.zeros((5, 2)))
+    path = tmp_path / "model.ckpt"
+    _patched_checkpoint(path, 1, 7.0, store)
+    with pytest.raises(FormatError, match="read-out"):
+        load_checkpoint(path)
+    _patched_checkpoint(path, 1, 2.0, store)
+    assert load_checkpoint(path).n_classes == 2

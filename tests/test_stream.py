@@ -1,6 +1,7 @@
 import io
 import socket
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ def test_fast_replay_handles_lstm_checkpoints(tmp_path):
     out = io.StringIO()
     n, _ = stream.fast_replay(seq, ckpt, out)
     assert n == 50
+
+
+def test_lstm_fast_replay_writes_the_per_event_text():
+    ckpt = _ckpt(seed=14, n_classes=3, kind="lstm", state_dim=7)
+    seq = moving_dot(2, seed=15, n_events=300, noise_rate=0.2)
+    slow_out, fast_out = io.StringIO(), io.StringIO()
+    stream.replay_events(seq, _session(ckpt), slow_out, pace=False)
+    n, _ = stream.fast_replay(seq, ckpt, fast_out)
+    assert n == 300
+    assert fast_out.getvalue() == slow_out.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm"])
+def test_timestamp_regressions_warn_once_and_are_counted(kind):
+    session = _session(_ckpt(seed=16, kind=kind, state_dim=6))
+    session.handle("E 1 1 1 5000")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        session.handle("E 2 2 0 4000")
+        registry = len(getattr(stream, "__warningregistry__", {}))
+        for t in range(3999, 3000, -1):
+            session.handle(f"E 2 2 0 {t}")
+        assert len(getattr(stream, "__warningregistry__", {})) == registry
+    assert len(caught) == 1
+    assert session.classifier.regressions == 1000
+    session.handle("R")
+    assert session.classifier.regressions == 0
 
 
 def test_bilstm_checkpoint_refused_for_streaming(tmp_path):
