@@ -11,7 +11,7 @@ from . import engine, events, lstm, model, optim, params, preprocess, stream, sy
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .errors import DatasetError, FormatError, NaNLossError, ShapeError
 from .events import Dataset, Event, EventSequence, load_dataset, parse_aer, write_aer
-from .model import OnlineClassifier, predict_online
+from .model import OnlineClassifier
 from .preprocess import Batch, TimeStats, compute_dq, normalize_dt, normalize_input
 from .synth import moving_dot, moving_dot_dataset
 from .training import MetricsRecord, RunConfig, Trainer, evaluate, train
@@ -23,6 +23,6 @@ __all__ = [
     "FormatError", "MetricsRecord", "NaNLossError", "OnlineClassifier", "RunConfig",
     "ShapeError", "TimeStats", "Trainer", "compute_dq", "engine", "evaluate", "events",
     "load_checkpoint", "load_dataset", "lstm", "model", "moving_dot", "moving_dot_dataset",
-    "normalize_dt", "normalize_input", "optim", "params", "parse_aer", "predict_online",
-    "preprocess", "save_checkpoint", "stream", "synth", "train", "training", "write_aer",
+    "normalize_dt", "normalize_input", "optim", "params", "parse_aer", "preprocess",
+    "save_checkpoint", "stream", "synth", "train", "training", "write_aer",
 ]

@@ -8,18 +8,55 @@ configuration as JSON, so loading never touches training data.
 
 import json
 from dataclasses import dataclass
+from types import ModuleType
+from typing import Callable
 
 import numpy as np
 
+from . import lstm, model
 from .errors import FormatError
 from .params import ParamStore, load_records, save_store
 from .preprocess import TimeStats
 
-MODEL_KINDS = ("inode", "lstm", "bilstm")
-
 META_STATS = "__meta__/time_stats"
 META_MODEL = "__meta__/model"
 META_CONFIG = "__meta__/config_json"
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """How one model kind is built, run, stored and served.  Functions are
+    reached through ``module`` when called, so a wrapper rebinding one is seen."""
+
+    module: ModuleType          # provides init_params, forward and backward_bptt
+    init: Callable              # (rng, RunConfig) -> fresh ParamStore
+    features: int               # input features per event
+    hidden: int                 # default state (ODE) or cell (LSTM) size
+    online: type | None         # event-by-event classifier; None if it needs the whole window
+
+
+# The insertion order is the kind code that checkpoints store:
+# inode 0, lstm 1, bilstm 2.  Append new kinds; never reorder.
+MODEL_KINDS = {
+    "inode": ModelKind(
+        model, lambda rng, cfg: model.init_params(rng, cfg.n_classes, state_dim=cfg.hidden,
+                                                  learnable_h0=cfg.learnable_h0),
+        model.FEATURES, model.STATE_DIM, model.OnlineClassifier),
+    "lstm": ModelKind(
+        lstm, lambda rng, cfg: lstm.init_params(rng, cfg.n_classes, hidden=cfg.hidden),
+        lstm.INPUT_DIM, 72, lstm.OnlineLstm),
+    "bilstm": ModelKind(
+        lstm, lambda rng, cfg: lstm.init_params(rng, cfg.n_classes, hidden=cfg.hidden,
+                                                bidirectional=True),
+        lstm.INPUT_DIM, 72, None),
+}
+
+
+def model_kind(name):
+    """The table entry of a model kind; ValueError for an unknown name."""
+    if name not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {name!r}")
+    return MODEL_KINDS[name]
 
 
 @dataclass
@@ -36,11 +73,10 @@ class Checkpoint:
 
 def save_checkpoint(path, store, stats, kind, n_classes, state_dim, features,
                     sensor_dims, config=None):
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    model_kind(kind)  # ValueError for an unknown kind
     extra = [
         (META_STATS, np.array([[stats.dq, stats.dmax]])),
-        (META_MODEL, np.array([[float(MODEL_KINDS.index(kind)), float(n_classes),
+        (META_MODEL, np.array([[float(list(MODEL_KINDS).index(kind)), float(n_classes),
                                 float(state_dim), float(features),
                                 float(sensor_dims[0]), float(sensor_dims[1])]])),
     ]
@@ -78,7 +114,7 @@ def load_checkpoint(path):
     return Checkpoint(
         store=store,
         stats=TimeStats(dq=float(dq), dmax=float(dmax)),
-        kind=MODEL_KINDS[int(kind_code)],
+        kind=list(MODEL_KINDS)[int(kind_code)],
         n_classes=int(n_classes),
         state_dim=int(state_dim),
         features=int(features),

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import stream as streaming
-from .checkpoint import load_checkpoint
+from .checkpoint import MODEL_KINDS, load_checkpoint
 from .errors import NaNLossError
 from .events import load_dataset, split_dataset
 from .synth import moving_dot_dataset, num_patterns
@@ -83,7 +83,7 @@ def build_parser():
 
     pt = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_data_flags(pt)
-    pt.add_argument("--model", choices=("inode", "lstm", "bilstm"), default="inode")
+    pt.add_argument("--model", choices=tuple(MODEL_KINDS), default="inode")
     pt.add_argument("--hidden", type=int, default=None,
                     help="state size (default: 30 for inode, 72 for lstm/bilstm)")
     pt.add_argument("--epochs", type=int, default=50)
@@ -119,7 +119,7 @@ def build_parser():
 
 def cmd_train(args):
     train_set, test_set = _datasets(args, args.seed)
-    hidden = args.hidden if args.hidden is not None else (30 if args.model == "inode" else 72)
+    hidden = args.hidden if args.hidden is not None else MODEL_KINDS[args.model].hidden
     config = RunConfig(
         model=args.model, hidden=hidden, n_classes=train_set.class_count,
         s_len=args.s_len, epochs=args.epochs, lr=args.lr, batch_size=args.batch,

@@ -218,7 +218,12 @@ def write_aer16(seq):
 
 
 def read_manifest(root):
-    """Sensor dims and record format from manifest.json, with NMNIST defaults."""
+    """Sensor dims and the decode function of the record format named in
+    manifest.json, with NMNIST defaults (34 x 34, ``aer``).
+
+    The function is looked up on each call, so that a wrapper rebinding
+    ``parse_aer`` (a profiler's) is seen.
+    """
     path = Path(root) / "manifest.json"
     sensor, fmt = DEFAULT_SENSOR, "aer"
     if path.exists():
@@ -237,7 +242,7 @@ def read_manifest(root):
         fmt = meta.get("format", fmt)
         if fmt not in ("aer", "aer16"):
             raise DatasetError(f"unknown record format {fmt!r} in manifest")
-    return sensor, fmt
+    return sensor, parse_aer16 if fmt == "aer16" else parse_aer
 
 
 def load_dataset(root, truncate_to=None, split="train"):
@@ -250,8 +255,7 @@ def load_dataset(root, truncate_to=None, split="train"):
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"no such dataset directory: {root}")
-    sensor, fmt = read_manifest(root)
-    decode = parse_aer if fmt == "aer" else parse_aer16
+    sensor, decode = read_manifest(root)
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise DatasetError(f"no class directories under {root}")

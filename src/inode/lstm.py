@@ -9,14 +9,11 @@ concatenated final states and is recomputed per prefix length, since its
 backward pass needs the whole prefix.
 """
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import engine as en
+from .model import ForwardResult, OnlineSession, _val, classify, gradients, unroll
 from .params import ParamStore, uniform_init
-from .preprocess import REGRESSION_WARNING, normalize_dt, normalize_input
 
 GATES = ("i", "f", "g", "o")
 INPUT_DIM = 4
@@ -39,10 +36,6 @@ def init_params(rng, n_classes, hidden, input_dim=INPUT_DIM, bidirectional=False
 
 def hidden_dim_of(store):
     return store["fwd_wi"].shape[1]
-
-
-def class_count_of(store):
-    return store["fcc_w"].shape[1]
 
 
 def is_bidirectional(store):
@@ -105,23 +98,6 @@ def lstm_step(state, u, store, tape=None, prefix="fwd"):
     return h_node, c_node
 
 
-def classify(h, store, tape=None):
-    p = store.__getitem__ if tape is None else (lambda name: tape.param(name, store[name]))
-    return en.add(en.matmul(h, p("fcc_w")), p("fcc_b"))
-
-
-@dataclass
-class ForwardResult:
-    logits: np.ndarray          # [B x S x C] per-step (uni) or [B x 1 x C] (bi)
-    loss: float | None
-    loss_node: object
-    final_state: np.ndarray
-
-
-def _val(x):
-    return x.value if isinstance(x, en.Node) else x
-
-
 def _zero_state(b, hidden, tape):
     h = np.zeros((b, hidden))
     c = np.zeros((b, hidden))
@@ -131,31 +107,18 @@ def _zero_state(b, hidden, tape):
 
 
 def forward(batch, store, tape=None, cell=lstm_step):
-    """Unidirectional pass: read-out after every step, per-step averaged loss.
-
-    ``cell`` may replace the fused cell for tests, as a function with the
-    signature of ``lstm_step``.
-    """
+    """The window's pass, bidirectional when the store is (unidirectional:
+    a read-out and loss after every step).  ``cell`` may replace the fused
+    cell for tests, as a function with the signature of ``lstm_step``."""
+    if is_bidirectional(store):
+        return forward_bidirectional(batch, store, tape, cell)
     feats = batch.features_with_dt()
-    b, s = batch.size, batch.steps
-    state = _zero_state(b, hidden_dim_of(store), tape)
-    with_loss = bool(np.all(batch.labels >= 0))
-    logits = np.empty((b, s, class_count_of(store)))
-    loss_acc = None
-    for i in range(s):
-        state = cell(state, feats[:, i, :], store, tape)
-        z = classify(state[0], store, tape)
-        logits[:, i, :] = _val(z)
-        if with_loss:
-            step_loss, _ = en.softmax_cross_entropy(z, batch.labels)
-            loss_acc = step_loss if loss_acc is None else en.add(loss_acc, step_loss)
-    loss_node = en.scale(loss_acc, 1.0 / s) if loss_acc is not None else None
-    return ForwardResult(
-        logits=logits,
-        loss=None if loss_node is None else float(_val(loss_node)),
-        loss_node=loss_node,
-        final_state=_val(state[0]),
-    )
+
+    def step(state, i):
+        return cell(state, feats[:, i, :], store, tape)
+
+    return unroll(batch, store, _zero_state(batch.size, hidden_dim_of(store), tape), step,
+                  tape, hidden=lambda state: state[0])
 
 
 def forward_bidirectional(batch, store, tape=None, cell=lstm_step):
@@ -174,54 +137,30 @@ def forward_bidirectional(batch, store, tape=None, cell=lstm_step):
     loss_node = None
     if with_loss:
         loss_node, _ = en.softmax_cross_entropy(z, batch.labels)
-    return ForwardResult(
-        logits=_val(z)[:, None, :],
-        loss=None if loss_node is None else float(_val(loss_node)),
-        loss_node=loss_node,
-        final_state=_val(joined),
-    )
+    return ForwardResult(logits=_val(z)[:, None, :], loss_node=loss_node,
+                         final_state=_val(joined))
 
 
 def backward_bptt(batch, store, cell=lstm_step):
     """Exact gradients of the window loss for every parameter."""
     tape = en.Tape()
-    run = forward_bidirectional if is_bidirectional(store) else forward
-    result = run(batch, store, tape=tape, cell=cell)
-    if result.loss_node is None:
-        raise ValueError("cannot differentiate an unlabeled batch")
-    return en.backward(tape, result.loss_node), result.loss
+    return gradients(tape, forward(batch, store, tape=tape, cell=cell))
 
 
-class OnlineLstm:
+class OnlineLstm(OnlineSession):
     """Streamed unidirectional inference, equal to the batched prefix."""
 
     def __init__(self, store, stats, sensor_dims):
         if is_bidirectional(store):
             raise ValueError("a bidirectional model cannot run online")
-        self.store = store
-        self.stats = stats
-        self.sensor_dims = sensor_dims
-        self.reset()
+        super().__init__(store, stats, sensor_dims)
 
     def reset(self):
-        hidden = hidden_dim_of(self.store)
-        self.state = (np.zeros((1, hidden)), np.zeros((1, hidden)))
-        self._last_t = None
-        self.regressions = 0
+        super().reset()
+        self.state = _zero_state(1, hidden_dim_of(self.store), None)
 
     def observe(self, event):
-        if self._last_t is None:
-            dt = 0
-        else:
-            dt = event.t - self._last_t
-            if dt < 0:
-                self.regressions += 1
-                if self.regressions == 1:
-                    warnings.warn(REGRESSION_WARNING, stacklevel=2)
-                dt = 0
-        u3 = normalize_input(event, self.sensor_dims)
-        u = np.concatenate([u3, [normalize_dt(dt, self.stats)]]).reshape(1, INPUT_DIM)
+        dtau = self._gap(event)
+        u = np.concatenate([self._input(event), [dtau]]).reshape(1, INPUT_DIM)
         self.state = lstm_step(self.state, u, self.store)
-        z = classify(self.state[0], self.store)
-        self._last_t = event.t
-        return int(np.argmax(z[0])), en.softmax(z, axis=1)[0]
+        return self._predict(self.state[0])

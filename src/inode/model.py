@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine as en
 from .params import ParamStore, uniform_init
-from .preprocess import REGRESSION_WARNING, normalize_dt, normalize_input
+from .preprocess import CLAMP_WARNING, REGRESSION_WARNING, clamped_input, normalize_dt
 
 STATE_DIM = 30
 WIDTH = 128
@@ -46,10 +46,6 @@ def init_params(rng, n_classes, state_dim=STATE_DIM, width=WIDTH, features=FEATU
 
 def state_dim_of(store):
     return store["fc1_w"].shape[0]
-
-
-def class_count_of(store):
-    return store["fcc_w"].shape[1]
 
 
 def _binder(store, tape):
@@ -118,25 +114,52 @@ def classify(h, store, tape=None):
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray          # [B x S x C], one read-out per solver step
-    loss: float | None          # mean over steps and batch
-    loss_node: object           # traced scalar when a tape was given
+    logits: np.ndarray          # [B x S x C], one read-out per step ([B x 1 x C] for a bi-LSTM)
+    loss_node: object           # scalar mean loss, traced when a tape was given; None unlabeled
     final_state: np.ndarray     # [B x state]
+
+    @property
+    def loss(self):
+        return None if self.loss_node is None else float(_val(self.loss_node))
 
 
 def _val(x):
     return x.value if isinstance(x, en.Node) else x
 
 
+def unroll(batch, store, state, step, tape, hidden=lambda state: state):
+    """Run ``step(state, i)`` over the window's S steps with a read-out of
+    ``hidden(state)`` after each.  The loss is the mean cross-entropy over
+    all steps and batch rows; it is None when any label is missing."""
+    b, s = batch.size, batch.steps
+    with_loss = bool(np.all(batch.labels >= 0))
+    logits = np.empty((b, s, store["fcc_w"].shape[1]))
+    loss_acc = None
+    for i in range(s):
+        state = step(state, i)
+        z = classify(hidden(state), store, tape)
+        logits[:, i, :] = _val(z)
+        if with_loss:
+            step_loss, _ = en.softmax_cross_entropy(z, batch.labels)
+            loss_acc = step_loss if loss_acc is None else en.add(loss_acc, step_loss)
+    loss_node = en.scale(loss_acc, 1.0 / s) if loss_acc is not None else None
+    return ForwardResult(logits=logits, loss_node=loss_node, final_state=_val(hidden(state)))
+
+
+def gradients(tape, result):
+    """``(grads, loss)`` of a forward pass recorded on ``tape``."""
+    if result.loss_node is None:
+        raise ValueError("cannot differentiate an unlabeled batch")
+    return en.backward(tape, result.loss_node), result.loss
+
+
 def forward(batch, store, h0=None, tape=None, dynamics=None):
     """Run the full window: S Euler steps, a read-out and loss after each.
 
-    The loss is the mean cross-entropy over all steps and batch rows; it is
-    None when any label is missing.  With a tape, the returned loss node
-    supports exact gradients via ``engine.backward``.
+    With a tape, the returned loss node supports exact gradients via
+    ``engine.backward``.
     """
-    b, s = batch.size, batch.steps
-    n = state_dim_of(store)
+    b, n = batch.size, state_dim_of(store)
     if h0 is not None:
         h = tape.const(np.asarray(h0, dtype=np.float64)) if tape is not None else np.asarray(h0, dtype=np.float64)
     elif "h0" in store:
@@ -144,25 +167,11 @@ def forward(batch, store, h0=None, tape=None, dynamics=None):
         h = en.add(np.zeros((b, n)), p("h0"))
     else:
         h = np.zeros((b, n)) if tape is None else tape.const(np.zeros((b, n)))
-    with_loss = bool(np.all(batch.labels >= 0))
-    logits = np.empty((b, s, class_count_of(store)))
-    loss_acc = None
-    for i in range(s):
-        u = batch.inputs[:, i, :]
-        dtau = batch.dtaus[:, i:i + 1]
-        h = euler_step(h, u, dtau, store, tape, dynamics)
-        z = classify(h, store, tape)
-        logits[:, i, :] = _val(z)
-        if with_loss:
-            step_loss, _ = en.softmax_cross_entropy(z, batch.labels)
-            loss_acc = step_loss if loss_acc is None else en.add(loss_acc, step_loss)
-    loss_node = en.scale(loss_acc, 1.0 / s) if loss_acc is not None else None
-    return ForwardResult(
-        logits=logits,
-        loss=None if loss_node is None else float(_val(loss_node)),
-        loss_node=loss_node,
-        final_state=_val(h),
-    )
+
+    def step(h, i):
+        return euler_step(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], store, tape, dynamics)
+
+    return unroll(batch, store, h, step, tape)
 
 
 def backward_bptt(batch, store, h0=None, dynamics=None):
@@ -171,18 +180,56 @@ def backward_bptt(batch, store, h0=None, dynamics=None):
     Returns ``(grads, loss)`` with one gradient array per store entry.
     """
     tape = en.Tape()
-    result = forward(batch, store, h0=h0, tape=tape, dynamics=dynamics)
-    if result.loss_node is None:
-        raise ValueError("cannot differentiate an unlabeled batch")
-    return en.backward(tape, result.loss_node), result.loss
+    return gradients(tape, forward(batch, store, h0=h0, tape=tape, dynamics=dynamics))
 
 
-def count_params(store, prefix=None):
-    """Total number of scalar parameters, optionally under a name prefix."""
-    return store.total_scalars(prefix)
+class OnlineSession:
+    """The state every event-by-event classifier shares.
+
+    An event older than its predecessor is clamped to a zero gap and
+    counted in ``regressions``, an event outside the sensor is clamped to
+    its edge and counted in ``clamped``.  Each warns once per session with
+    one fixed text; ``reset`` zeroes both counts.
+    """
+
+    def __init__(self, store, stats, sensor_dims):
+        self.store = store
+        self.stats = stats
+        self.sensor_dims = sensor_dims
+        self.reset()
+
+    def reset(self):
+        self._last_t = None
+        self.regressions = 0
+        self.clamped = 0
+
+    def _gap(self, event):
+        """Normalized gap since the previous event, 0 for the first one."""
+        dt = 0 if self._last_t is None else event.t - self._last_t
+        if dt < 0:
+            self.regressions += 1
+            if self.regressions == 1:
+                warnings.warn(REGRESSION_WARNING, stacklevel=3)
+            dt = 0
+        self._last_t = event.t
+        return normalize_dt(dt, self.stats)
+
+    def _input(self, event):
+        """Features (x, y, p) of the event, its coordinates clamped into the sensor."""
+        u, clamped = clamped_input(event, self.sensor_dims)
+        if clamped:
+            self.clamped += 1
+            if self.clamped == 1:
+                warnings.warn(CLAMP_WARNING, stacklevel=3)
+        return u
+
+    def _predict(self, h):
+        """(class, posterior row) of a [1 x state] row; ties go to the lowest class."""
+        z = classify(h, self.store)
+        return int(np.argmax(z[0])), en.softmax(z, axis=1)[0]
 
 
-class OnlineClassifier:
+class OnlineClassifier(OnlineSession):
     """Event-by-event inference with sample-and-hold inputs.
 
     Each arriving event first advances the state across the elapsed gap
@@ -192,44 +239,17 @@ class OnlineClassifier:
     S+1 events of a sampled window this reproduces ``forward`` exactly.
     """
 
-    def __init__(self, store, stats, sensor_dims):
-        self.store = store
-        self.stats = stats
-        self.sensor_dims = sensor_dims
-        self._h0 = store["h0"].copy() if "h0" in store else np.zeros((1, state_dim_of(store)))
-        self.reset()
-
     def reset(self):
-        self.state = self._h0.copy()
+        super().reset()
+        self.state = (self.store["h0"].copy() if "h0" in self.store
+                      else np.zeros((1, state_dim_of(self.store))))
         self._held_u = None
-        self._last_t = None
-        self.regressions = 0
 
     def observe(self, event):
-        """Consume one event; returns (predicted class, posterior row).
-
-        Ties in the arg-max break toward the lowest class index.  An event
-        older than its predecessor is clamped to a zero gap and counted in
-        ``regressions``; only the first one since ``reset`` warns.
-        """
+        """Consume one event; returns (predicted class, posterior row)."""
+        dtau = self._gap(event)
         if self._held_u is not None:
-            dt = event.t - self._last_t
-            if dt < 0:
-                self.regressions += 1
-                if self.regressions == 1:
-                    warnings.warn(REGRESSION_WARNING, stacklevel=2)
-                dt = 0
-            dtau = np.asarray(normalize_dt(dt, self.stats)).reshape(1, 1)
-            self.state = euler_step(self.state, self._held_u, dtau, self.store)
-        z = classify(self.state, self.store)
-        posterior = en.softmax(z, axis=1)[0]
-        self._held_u = normalize_input(event, self.sensor_dims).reshape(1, FEATURES)
-        self._last_t = event.t
-        return int(np.argmax(z[0])), posterior
-
-
-def predict_online(events, store, stats, sensor_dims):
-    """Generator form of online inference: yields (class, posterior) per event."""
-    clf = OnlineClassifier(store, stats, sensor_dims)
-    for event in events:
-        yield clf.observe(event)
+            self.state = euler_step(self.state, self._held_u, np.asarray(dtau).reshape(1, 1),
+                                    self.store)
+        self._held_u = self._input(event).reshape(1, FEATURES)
+        return self._predict(self.state)

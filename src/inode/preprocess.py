@@ -16,10 +16,12 @@ from .errors import DatasetError
 
 QUANTILE_PERCENT = 98
 
-# one fixed text, so Python's warning registry keeps one entry however
-# many sessions see a regression
+# fixed texts, so Python's warning registry keeps one entry each however
+# many sessions see the condition
 REGRESSION_WARNING = ("timestamp regression: gap clamped to 0; this session counts "
                       "further regressions in .regressions without warning")
+CLAMP_WARNING = ("event outside the sensor: coordinates clamped to its edge; this session "
+                 "counts further ones in .clamped without warning")
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,28 @@ def normalize_coords(xs, ys, sensor_dims):
     return xn, yn
 
 
+def clamped_input(event, sensor_dims):
+    """Feature vector (x_norm, y_norm, p_signed) for one event, and whether
+    its coordinates were outside the sensor and clamped to its edge."""
+    w, h = sensor_dims
+    x, y = event.x, event.y
+    clamped = not (0 <= x < w and 0 <= y < h)
+    if clamped:
+        x, y = min(max(x, 0), w - 1), min(max(y, 0), h - 1)
+    xn, yn = normalize_coords(x, y, sensor_dims)
+    return np.array([xn, yn, 2.0 * event.p - 1.0]), clamped
+
+
 def normalize_input(event, sensor_dims):
     """Feature vector (x_norm, y_norm, p_signed) for one event.
 
     Out-of-bounds coordinates are clamped with a warning.
     """
-    w, h = sensor_dims
-    x, y = event.x, event.y
-    if not (0 <= x < w and 0 <= y < h):
-        warnings.warn(f"event at ({x}, {y}) outside sensor {w}x{h}; clamping", stacklevel=2)
-        x = min(max(x, 0), w - 1)
-        y = min(max(y, 0), h - 1)
-    xn, yn = normalize_coords(x, y, sensor_dims)
-    return np.array([xn, yn, 2.0 * event.p - 1.0])
+    u, clamped = clamped_input(event, sensor_dims)
+    if clamped:
+        warnings.warn(f"event at ({event.x}, {event.y}) outside sensor "
+                      f"{sensor_dims[0]}x{sensor_dims[1]}; clamping", stacklevel=2)
+    return u
 
 
 def normalize_sequence(seq):

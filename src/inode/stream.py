@@ -22,20 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import engine as en
-from .checkpoint import load_checkpoint
-from .events import Event, parse_aer, parse_aer16, read_manifest
-from .lstm import OnlineLstm
-from .model import OnlineClassifier
+from .checkpoint import model_kind
+from .events import Event, read_manifest
 from .preprocess import normalize_coords, normalize_dt
 
 
 def make_session(ckpt):
     """Per-connection online classifier for a loaded checkpoint."""
-    if ckpt.kind == "inode":
-        return OnlineClassifier(ckpt.store, ckpt.stats, ckpt.sensor_dims)
-    if ckpt.kind == "lstm":
-        return OnlineLstm(ckpt.store, ckpt.stats, ckpt.sensor_dims)
-    raise ValueError(f"model kind {ckpt.kind!r} cannot run event-by-event")
+    online = model_kind(ckpt.kind).online
+    if online is None:
+        raise ValueError(f"model kind {ckpt.kind!r} cannot run event-by-event")
+    return online(ckpt.store, ckpt.stats, ckpt.sensor_dims)
 
 
 def format_prediction(t, pred, posterior):
@@ -113,8 +110,7 @@ def serve_tcp(ckpt, host, port):
 def load_replay(path, sensor_dims):
     """Decode a recording in the format named by the manifest beside it."""
     path = Path(path)
-    _, fmt = read_manifest(path.parent)
-    decode = parse_aer if fmt == "aer" else parse_aer16
+    _, decode = read_manifest(path.parent)
     return decode(path.read_bytes(), sensor_dims=sensor_dims)
 
 

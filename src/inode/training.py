@@ -15,9 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import lstm as lstm_model
-from . import model as inode_model
-from .checkpoint import save_checkpoint
+from .checkpoint import model_kind, save_checkpoint
 from .errors import NaNLossError
 from .events import subset_fraction
 from .optim import AdamState, adam_step, clip_global_norm
@@ -66,36 +64,9 @@ class MetricsRecord:
     wall_seconds: float = 0.0
 
 
-def init_model(config, rng):
-    if config.model == "inode":
-        return inode_model.init_params(rng, config.n_classes, state_dim=config.hidden,
-                                       learnable_h0=config.learnable_h0)
-    if config.model == "lstm":
-        return lstm_model.init_params(rng, config.n_classes, hidden=config.hidden)
-    if config.model == "bilstm":
-        return lstm_model.init_params(rng, config.n_classes, hidden=config.hidden,
-                                      bidirectional=True)
-    raise ValueError(f"unknown model {config.model!r}")
-
-
-def forward_fn(kind):
-    if kind == "inode":
-        return inode_model.forward
-    if kind == "lstm":
-        return lstm_model.forward
-    if kind == "bilstm":
-        return lstm_model.forward_bidirectional
-    raise ValueError(f"unknown model {kind!r}")
-
-
-def final_logits(result):
-    """[B x C] logits of the last solver step (or the joined bi-LSTM state)."""
-    return result.logits[:, -1, :]
-
-
 def evaluate(store, stats, kind, test_set, lengths, seed, repeats=1):
     """Accuracy per event budget: one seeded window per item, final arg-max."""
-    run = forward_fn(kind)
+    module = model_kind(kind).module
     out = {}
     for n in lengths:
         hits = 0
@@ -103,8 +74,7 @@ def evaluate(store, stats, kind, test_set, lengths, seed, repeats=1):
         for rep in range(repeats):
             rng = np.random.default_rng([int(seed), 0xE7A1, int(n), rep])
             batch = make_batch(test_set.sequences, n, stats, rng)
-            result = run(batch, store)
-            pred = np.argmax(final_logits(result), axis=1)
+            pred = np.argmax(module.forward(batch, store).logits[:, -1, :], axis=1)
             hits += int(np.sum(pred == batch.labels))
             total += batch.size
         out[int(n)] = hits / total
@@ -114,7 +84,7 @@ def evaluate(store, stats, kind, test_set, lengths, seed, repeats=1):
 def test_loss(store, stats, kind, test_set, s_len, seed):
     rng = np.random.default_rng([int(seed), 0x7E57])
     batch = make_batch(test_set.sequences, s_len, stats, rng)
-    return forward_fn(kind)(batch, store).loss
+    return model_kind(kind).module.forward(batch, store).loss
 
 
 class Trainer:
@@ -128,15 +98,13 @@ class Trainer:
         self.test_set = test_set
         self.batch_size = max(1, round(config.rho * config.batch_size))
         self.stats = compute_dq(self.train_set, dmax=config.dmax)
-        self.store = init_model(config, np.random.default_rng([config.seed, 0x1]))
+        self.kind = model_kind(config.model)
+        self.store = self.kind.init(np.random.default_rng([config.seed, 0x1]), config)
         self.adam = AdamState(self.store, lr=config.lr)
         self.log = []
         self.best_store = None
         self.best_accuracy = -1.0
         self._epoch = 0
-        self._forward = forward_fn(config.model)
-        self._backward = (lstm_model.backward_bptt if config.model in ("lstm", "bilstm")
-                          else inode_model.backward_bptt)
 
     def steps_per_epoch(self):
         return math.ceil(len(self.train_set) / self.batch_size)
@@ -151,7 +119,7 @@ class Trainer:
         for b in range(self.steps_per_epoch()):
             ids = order[b * self.batch_size:(b + 1) * self.batch_size]
             batch = make_batch([self.train_set[i] for i in ids], cfg.s_len, self.stats, rng)
-            grads, loss = self._backward(batch, self.store)
+            grads, loss = self.kind.module.backward_bptt(batch, self.store)
             if not np.isfinite(loss):
                 raise NaNLossError(self._epoch, b)
             if cfg.grad_clip is not None:
@@ -187,7 +155,7 @@ class Trainer:
         save_checkpoint(
             path, store if store is not None else self.store, self.stats,
             kind=cfg.model, n_classes=cfg.n_classes, state_dim=cfg.hidden,
-            features=(inode_model.FEATURES if cfg.model == "inode" else lstm_model.INPUT_DIM),
+            features=self.kind.features,
             sensor_dims=self.train_set.sensor_dims, config=cfg.to_json(),
         )
 

@@ -265,15 +265,10 @@ def test_online_posterior_sums_to_one():
     stats = TimeStats(dq=100.0)
     store = model.init_params(np.random.default_rng(61), n_classes=5)
     seq = moving_dot(3, seed=6, n_events=50)
-    for _, posterior in model.predict_online(seq, store, stats, seq.sensor_dims):
+    clf = model.OnlineClassifier(store, stats, seq.sensor_dims)
+    for event in seq:
+        _, posterior = clf.observe(event)
         assert abs(posterior.sum() - 1.0) < 1e-12
-
-
-def test_online_with_no_events_yields_nothing():
-    stats = TimeStats(dq=100.0)
-    store = model.init_params(np.random.default_rng(62), n_classes=2)
-    out = list(model.predict_online([], store, stats, (34, 34)))
-    assert out == []
 
 
 def test_timestamp_regression_clamps_with_warning():
@@ -305,6 +300,6 @@ def test_count_params_blocks():
     assert store.total_scalars("fc1_") == 30 * 128 + 128  # 3,968
     f_net = sum(store.total_scalars(p) for p in ("fc1_", "fcu_", "fc2_", "fc3_"))
     assert f_net == 41_246
-    total = model.count_params(store)
+    total = store.total_scalars()
     assert 41_000 <= total <= 43_000
     assert total == f_net + 30 * 10 + 10

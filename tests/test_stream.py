@@ -234,3 +234,23 @@ def test_bilstm_checkpoint_refused_for_streaming(tmp_path):
     ckpt = load_checkpoint(path)
     with pytest.raises(ValueError):
         stream.make_session(ckpt)
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm"])
+def test_out_of_sensor_events_warn_once_and_are_counted(kind):
+    from inode import lstm
+    ckpt = _ckpt(seed=17, kind=kind, state_dim=6)
+    edge = _session(ckpt).handle("E 33 1 1 1000")
+    session = _session(ckpt)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert session.handle("E 40 1 1 1000") == edge
+        modules = (stream, model, lstm)
+        registries = [len(getattr(m, "__warningregistry__", {})) for m in modules]
+        for x in range(41, 240):
+            session.handle(f"E {x} 1 1 {1000 + x}")
+        assert [len(getattr(m, "__warningregistry__", {})) for m in modules] == registries
+    assert len(caught) == 1
+    assert session.classifier.clamped == 200
+    session.handle("R")
+    assert session.classifier.clamped == 0
