@@ -111,6 +111,12 @@ def load_checkpoint(path):
     if "fcc_w" in store and store["fcc_w"].shape[1] != n_classes:
         raise FormatError(f"checkpoint n_classes {int(n_classes)} disagrees with its "
                           f"{store['fcc_w'].shape[1]}-class read-out")
+    # each kind's input weight, where present, fixes the state and input sizes
+    for name, axis, field in (("fc1_w", 0, "state_dim"), ("fcu_w", 0, "features"),
+                              ("fwd_wi", 0, "features"), ("fwd_wi", 1, "state_dim")):
+        if name in store and store[name].shape[axis] != geometry[field]:
+            raise FormatError(f"checkpoint {field} {int(geometry[field])} disagrees with "
+                              f"its {name} of shape {store[name].shape}")
     return Checkpoint(
         store=store,
         stats=TimeStats(dq=float(dq), dmax=float(dmax)),

@@ -1,6 +1,7 @@
 """Command-line entry points: train, eval, stream.
 
-Exit codes: 0 success, 2 usage/argument problems, 3 training diverged.
+Exit codes: 0 success, 2 usage/argument problems (a missing or corrupt input
+file among them), 3 training diverged.
 """
 
 import argparse
@@ -10,7 +11,7 @@ from pathlib import Path
 
 from . import stream as streaming
 from .checkpoint import MODEL_KINDS, load_checkpoint
-from .errors import NaNLossError
+from .errors import DatasetError, FormatError, NaNLossError
 from .events import load_dataset, split_dataset
 from .synth import moving_dot_dataset, num_patterns
 from .training import RunConfig, evaluate, report, train
@@ -147,9 +148,6 @@ def cmd_train(args):
 
 def cmd_eval(args):
     path = Path(args.ckpt)
-    if not path.is_file():
-        print(f"error: no such checkpoint: {path}", file=sys.stderr)
-        return 2
     ckpt = load_checkpoint(path)
     _, test_set = _datasets(args, args.seed)
     table = evaluate(ckpt.store, ckpt.stats, ckpt.kind, test_set, args.lengths,
@@ -163,17 +161,9 @@ def cmd_eval(args):
 
 
 def cmd_stream(args):
-    path = Path(args.ckpt)
-    if not path.is_file():
-        print(f"error: no such checkpoint: {path}", file=sys.stderr)
-        return 2
-    ckpt = load_checkpoint(path)
+    ckpt = load_checkpoint(args.ckpt)
     if args.replay:
-        replay = Path(args.replay)
-        if not replay.is_file():
-            print(f"error: no such replay file: {replay}", file=sys.stderr)
-            return 2
-        seq = streaming.load_replay(replay, ckpt.sensor_dims)
+        seq = streaming.load_replay(args.replay, ckpt.sensor_dims)
         if args.fast:
             n, seconds = streaming.fast_replay(seq, ckpt, sys.stdout)
             rate = f" ({n / seconds:,.0f} events/s)" if seconds > 0 else ""
@@ -197,11 +187,12 @@ def cmd_stream(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "train":
-        return cmd_train(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    return cmd_stream(args)
+    command = {"train": cmd_train, "eval": cmd_eval, "stream": cmd_stream}[args.command]
+    try:
+        return command(args)
+    except (FormatError, DatasetError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry():

@@ -85,14 +85,6 @@ class EventSequence:
         if n > 1 and np.any(np.diff(self.ts) < 0):
             raise ValueError("timestamps not non-decreasing")
 
-    @classmethod
-    def from_events(cls, events, label=None, sensor_dims=DEFAULT_SENSOR, validate=True):
-        xs = [e.x for e in events]
-        ys = [e.y for e in events]
-        ps = [e.p for e in events]
-        ts = [e.t for e in events]
-        return cls(xs, ys, ps, ts, label=label, sensor_dims=sensor_dims, validate=validate)
-
     def __len__(self):
         return len(self.ts)
 

@@ -11,7 +11,9 @@ Malformed input produces ``ERR <reason>`` and leaves the state untouched.
 The protocol runs over stdin/stdout or a TCP socket (one isolated session
 per connection, all sharing the read-only parameter store), and binary
 AER files can be replayed through it, paced by their timestamps or at
-full speed.
+full speed.  This module knows no model: the checkpoint's kind names the
+online session, and the session observes each event or replays a whole
+recording itself.
 """
 
 import socketserver
@@ -19,12 +21,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import engine as en
 from .checkpoint import model_kind
 from .events import Event, read_manifest
-from .preprocess import normalize_coords, normalize_dt
 
 
 def make_session(ckpt):
@@ -116,87 +114,31 @@ def load_replay(path, sensor_dims):
 
 def replay_events(seq, session, outfile, pace=True):
     """Feed a decoded sequence through a session, pacing by timestamps."""
-    n = 0
     prev_t = None
     for event in seq:
         if pace and prev_t is not None and event.t > prev_t:
             time.sleep((event.t - prev_t) / 1e6)
         prev_t = event.t
-        reply = session.handle(f"E {event.x} {event.y} {event.p} {event.t}")
-        if reply is not None:
-            outfile.write(reply + "\n")
-            n += 1
-    return n
+        pred, posterior = session.classifier.observe(event)
+        outfile.write(format_prediction(event.t, pred, posterior) + "\n")
+    return len(seq)
 
 
 def fast_replay(seq, ckpt, outfile, chunk=4096):
     """Full-speed replay, writing the lines the per-event session would.
 
-    For the ODE classifier (sample-and-hold, one line per event) the input
-    projections, read-outs and softmax run batched per chunk, leaving only
-    the sequential state recursion per event.  Other models feed each
-    decoded event straight to their online classifier, without the text
-    round trip of the line protocol.  Returns (events, seconds spent in
-    processing).
+    The checkpoint's session replays the whole recording (see
+    ``OnlineSession.replay``), which must be on the checkpoint's sensor.
+    Returns (events, seconds): the seconds cover the work done chunk by
+    chunk, the recursion, the read-outs and the formatting, and not what
+    the session prepares for the whole recording before its first chunk.
     """
-    if ckpt.kind != "inode":
-        classifier = make_session(ckpt)
-        t0 = time.perf_counter()
-        for event in seq:
-            pred, posterior = classifier.observe(event)
-            outfile.write(format_prediction(event.t, pred, posterior) + "\n")
-        return len(seq), time.perf_counter() - t0
-    store, stats = ckpt.store, ckpt.stats
-    w1, b1 = store["fc1_w"], store["fc1_b"][0]
-    w2 = store["fc2_w"]
-    w2_top = np.ascontiguousarray(w2[: w2.shape[0] // 2])
-    w2_bot = np.ascontiguousarray(w2[w2.shape[0] // 2:])
-    b2 = store["fc2_b"][0]
-    w3, b3 = store["fc3_w"], store["fc3_b"][0]
-    wc, bc = store["fcc_w"], store["fcc_b"][0]
-    state_dim = w1.shape[0]
-    width = w1.shape[1]
-
-    xn, yn = normalize_coords(seq.xs, seq.ys, ckpt.sensor_dims)
-    feats = np.stack([xn, yn, 2.0 * seq.ps - 1.0], axis=1)
-    gaps = np.zeros(len(seq))
-    if len(seq) > 1:
-        raw = np.diff(seq.ts)
-        if np.any(raw < 0):
-            raw = np.maximum(raw, 0)
-        gaps[1:] = normalize_dt(raw, stats)
-    # event i advances the state across gaps[i] using the input held from
-    # event i-1, so the projection of feats[i-1] pairs with gaps[i]
-    proj = np.tanh(feats @ store["fcu_w"] + store["fcu_b"][0]) @ w2_bot + b2
-
-    h = store["h0"][0].copy() if "h0" in store else np.zeros(state_dim)
-    states = np.empty((len(seq), state_dim))
-    s_buf = np.empty(width)
-    t_buf = np.empty(width)
-    d_buf = np.empty(state_dim)
+    if seq.sensor_dims != tuple(ckpt.sensor_dims):
+        raise ValueError(f"recording from a {seq.sensor_dims} sensor, checkpoint for "
+                         f"{ckpt.sensor_dims}")
+    chunks = make_session(ckpt).replay(seq, chunk)
     started = time.perf_counter()
-    done = 0
-    ts = seq.ts
-    while done < len(seq):
-        hi = min(done + chunk, len(seq))
-        for i in range(done, hi):
-            if i > 0:
-                np.dot(h, w1, out=s_buf)
-                s_buf += b1
-                np.tanh(s_buf, out=s_buf)
-                np.dot(s_buf, w2_top, out=t_buf)
-                t_buf += proj[i - 1]
-                np.tanh(t_buf, out=t_buf)
-                np.dot(t_buf, w3, out=d_buf)
-                d_buf += b3
-                d_buf *= gaps[i]
-                h = h + d_buf
-            states[i] = h
-        logits = states[done:hi] @ wc + bc
-        posterior = en.softmax(logits, axis=1)
-        preds = np.argmax(logits, axis=1)
-        lines = [format_prediction(ts[i], preds[i - done], posterior[i - done])
-                 for i in range(done, hi)]
-        outfile.write("\n".join(lines) + "\n")
-        done = hi
+    for rows in chunks:
+        outfile.write("\n".join([format_prediction(t, pred, posterior)
+                                 for t, pred, posterior in rows]) + "\n")
     return len(seq), time.perf_counter() - started

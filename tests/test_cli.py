@@ -109,6 +109,27 @@ def test_stream_missing_checkpoint_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def _assert_clean_exit_2(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "stream"])
+def test_corrupt_checkpoint_exits_2(tmp_path, command):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"not a checkpoint at all")
+    data = TINY_DATA if command == "eval" else []
+    _assert_clean_exit_2(run_cli(command, "--ckpt", str(bad), *data, stdin=""))
+
+
+def test_corrupt_replay_file_exits_2(trained, tmp_path):
+    replay = tmp_path / "replay.bin"
+    replay.write_bytes(b"abc")
+    _assert_clean_exit_2(run_cli("stream", "--ckpt", str(trained), "--replay", str(replay),
+                                 "--fast"))
+
+
 def test_stream_replay_fast(trained, tmp_path):
     import numpy as np
     from inode.events import write_aer

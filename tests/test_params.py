@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from inode import lstm, model
 from inode.checkpoint import META_MODEL, load_checkpoint, save_checkpoint
 from inode.errors import FormatError, ShapeError
 from inode.params import (MAGIC, ParamStore, load_records, save_store, store_to_bytes,
@@ -143,3 +144,24 @@ def test_class_count_disagreeing_with_readout_rejected(tmp_path):
         load_checkpoint(path)
     _patched_checkpoint(path, 1, 2.0, store)
     assert load_checkpoint(path).n_classes == 2
+
+
+# an H = 5 store saved with the wrong state_dim or features
+@pytest.mark.parametrize("kind, state_dim, features", [
+    ("lstm", 30, 3), ("lstm", 30, 4), ("lstm", 5, 3), ("inode", 30, 3), ("inode", 5, 4),
+])
+def test_geometry_disagreeing_with_the_store_rejected(tmp_path, kind, state_dim, features):
+    rng = np.random.default_rng(3)
+    if kind == "inode":
+        store, right = model.init_params(rng, 2, state_dim=5), (5, 3)
+    else:
+        store, right = lstm.init_params(rng, 2, hidden=5), (5, 4)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, TimeStats(dq=1.0), kind=kind, n_classes=2,
+                    state_dim=state_dim, features=features, sensor_dims=(34, 34))
+    with pytest.raises(FormatError, match="disagrees"):
+        load_checkpoint(path)
+    save_checkpoint(path, store, TimeStats(dq=1.0), kind=kind, n_classes=2,
+                    state_dim=right[0], features=right[1], sensor_dims=(34, 34))
+    ckpt = load_checkpoint(path)
+    assert (ckpt.state_dim, ckpt.features) == right

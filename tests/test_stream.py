@@ -14,10 +14,12 @@ from inode.errors import DatasetError
 from inode.events import write_aer
 
 
-def _ckpt(n_classes=2, seed=0, kind="inode", state_dim=30):
+def _ckpt(n_classes=2, seed=0, kind="inode", state_dim=30, learnable_h0=False):
     rng = np.random.default_rng(seed)
     if kind == "inode":
-        store = model.init_params(rng, n_classes, state_dim=state_dim)
+        store = model.init_params(rng, n_classes, state_dim=state_dim, learnable_h0=learnable_h0)
+        if learnable_h0:  # a start state away from the zeros of a fresh store
+            store["h0"] = rng.uniform(-0.5, 0.5, store["h0"].shape)
     else:
         from inode import lstm
         store = lstm.init_params(rng, n_classes, hidden=state_dim)
@@ -171,8 +173,9 @@ def test_replay_rejects_bad_manifest(tmp_path, manifest):
         stream.load_replay(path, (34, 34))
 
 
-def test_fast_replay_agrees_with_per_event_path():
-    ckpt = _ckpt(seed=10)
+@pytest.mark.parametrize("learnable_h0", [False, True], ids=["plain", "learnable_h0"])
+def test_fast_replay_agrees_with_per_event_path(learnable_h0):
+    ckpt = _ckpt(seed=10, learnable_h0=learnable_h0)
     seq = moving_dot(1, seed=11, n_events=400, noise_rate=0.2)
     slow_out = io.StringIO()
     stream.replay_events(seq, _session(ckpt), slow_out, pace=False)
@@ -188,6 +191,14 @@ def test_fast_replay_agrees_with_per_event_path():
         pa = np.array([float(v) for v in fa[2:]])
         pb = np.array([float(v) for v in fb[2:]])
         assert np.abs(pa - pb).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm"])
+def test_fast_replay_refuses_a_recording_from_another_sensor(kind):
+    ckpt = _ckpt(seed=19, kind=kind, state_dim=6)
+    seq = moving_dot(0, seed=20, n_events=300, sensor_dims=(64, 64))
+    with pytest.raises(ValueError, match="sensor"):
+        stream.fast_replay(seq, ckpt, io.StringIO())
 
 
 def test_fast_replay_handles_lstm_checkpoints(tmp_path):
