@@ -38,7 +38,7 @@ table = trainer.evaluate(lengths=tuple(range(10, 101, 10)), repeats=3)
 for n, acc in table.items():
     print(f"  {n:4d} events: {acc:.3f} " + "#" * int(acc * 40))
 
-out = Path("/tmp/inode_demo")
+out = Path("inode_demo")
 out.mkdir(exist_ok=True)
 trainer.save(out / "model.ckpt")
 paths = report(trainer.log, out / "metrics")

@@ -7,8 +7,9 @@ configuration as JSON, so loading never touches training data.
 """
 
 import json
+import math
 from dataclasses import dataclass
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -86,6 +87,41 @@ def save_checkpoint(path, store, stats, kind, n_classes, state_dim, features,
     save_store(store, path, extra=extra)
 
 
+class _LayoutRng:
+    """Stands in for the generator a kind's ``init`` draws its weights from.
+    It hands out zeros and refuses, before allocating, weights beyond
+    ``budget`` scalars in all.  Each kind draws a weight with every size
+    of bias row before it builds that row, so a hostile header cannot make
+    the layout check allocate much more than the checkpoint holds."""
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def uniform(self, low, high, size):
+        self.budget -= math.prod(size)
+        if self.budget < 0:
+            raise FormatError("checkpoint header disagrees with its weights: it asks for more")
+        return np.zeros(size)
+
+
+def _check_layout(store, kind, n_classes, state_dim, features):
+    """FormatError unless the store holds exactly the weights, by name and
+    shape, that the kind builds for the header's geometry (INODE's ``h0``
+    is optional)."""
+    if features != MODEL_KINDS[kind].features:
+        raise FormatError(f"checkpoint features {features} disagrees with its {kind} model")
+    geometry = SimpleNamespace(n_classes=n_classes, hidden=state_dim,
+                               learnable_h0="h0" in store)
+    built = MODEL_KINDS[kind].init(_LayoutRng(store.total_scalars()), geometry)
+    want = {name: value.shape for name, value in built.items()}
+    have = {name: value.shape for name, value in store.items()}
+    for name in sorted(want.keys() | have.keys()):
+        if want.get(name) != have.get(name):
+            raise FormatError(f"checkpoint weight {name!r} disagrees with its {kind} header "
+                              f"(n_classes {n_classes}, state_dim {state_dim}): stored "
+                              f"{have.get(name, 'nothing')}, expected {want.get(name, 'nothing')}")
+
+
 def load_checkpoint(path):
     records = load_records(path)
     if META_STATS not in records or META_MODEL not in records:
@@ -102,25 +138,19 @@ def load_checkpoint(path):
     config = None
     blob = records.pop(META_CONFIG, None)
     if blob is not None:
-        config = json.loads(bytes(blob[0].astype(np.uint8)).decode("utf-8"))
+        try:
+            config = json.loads(bytes(blob[0].astype(np.uint8)).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
+            raise FormatError(f"checkpoint config is not UTF-8 JSON: {exc}") from None
     store = ParamStore()
     for name, value in records.items():
-        if name.startswith("__meta__/"):
-            continue
         store.add(name, value)
-    if "fcc_w" in store and store["fcc_w"].shape[1] != n_classes:
-        raise FormatError(f"checkpoint n_classes {int(n_classes)} disagrees with its "
-                          f"{store['fcc_w'].shape[1]}-class read-out")
-    # each kind's input weight, where present, fixes the state and input sizes
-    for name, axis, field in (("fc1_w", 0, "state_dim"), ("fcu_w", 0, "features"),
-                              ("fwd_wi", 0, "features"), ("fwd_wi", 1, "state_dim")):
-        if name in store and store[name].shape[axis] != geometry[field]:
-            raise FormatError(f"checkpoint {field} {int(geometry[field])} disagrees with "
-                              f"its {name} of shape {store[name].shape}")
+    kind = list(MODEL_KINDS)[int(kind_code)]
+    _check_layout(store, kind, int(n_classes), int(state_dim), int(features))
     return Checkpoint(
         store=store,
         stats=TimeStats(dq=float(dq), dmax=float(dmax)),
-        kind=list(MODEL_KINDS)[int(kind_code)],
+        kind=kind,
         n_classes=int(n_classes),
         state_dim=int(state_dim),
         features=int(features),

@@ -169,8 +169,7 @@ def cmd_stream(args):
             rate = f" ({n / seconds:,.0f} events/s)" if seconds > 0 else ""
             print(f"# {n} events in {seconds:.3f}s{rate}", file=sys.stderr)
         else:
-            session = streaming.LineSession(streaming.make_session(ckpt))
-            streaming.replay_events(seq, session, sys.stdout, pace=True)
+            streaming.replay_events(seq, streaming.make_session(ckpt), sys.stdout, pace=True)
         return 0
     if args.listen:
         host, _, port = args.listen.rpartition(":")

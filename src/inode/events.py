@@ -279,12 +279,6 @@ def subset_fraction(dataset, rho, seed):
     return Dataset(picked, dataset.class_count, split=dataset.split)
 
 
-def filter_by_event_count(dataset, lo, hi):
-    """Keep sequences whose length is within [lo, hi]."""
-    picked = [seq for seq in dataset if lo <= len(seq) <= hi]
-    return Dataset(picked, dataset.class_count, split=dataset.split)
-
-
 def split_dataset(dataset, train_fraction, seed):
     """Seeded shuffle, then split into (train, test) datasets."""
     n = len(dataset)

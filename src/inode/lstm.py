@@ -19,13 +19,13 @@ GATES = ("i", "f", "g", "o")
 INPUT_DIM = 4
 
 
-def init_params(rng, n_classes, hidden, input_dim=INPUT_DIM, bidirectional=False):
+def init_params(rng, n_classes, hidden, bidirectional=False):
     """Gate weights W_* (in->H), recurrent U_* (H->H), biases, classifier."""
     store = ParamStore()
     prefixes = ("fwd", "bwd") if bidirectional else ("fwd",)
     for prefix in prefixes:
         for gate in GATES:
-            store.add(f"{prefix}_w{gate}", uniform_init(rng, input_dim, (input_dim, hidden)))
+            store.add(f"{prefix}_w{gate}", uniform_init(rng, INPUT_DIM, (INPUT_DIM, hidden)))
             store.add(f"{prefix}_u{gate}", uniform_init(rng, hidden, (hidden, hidden)))
             store.add(f"{prefix}_b{gate}", np.zeros(hidden))
     head_in = 2 * hidden if bidirectional else hidden

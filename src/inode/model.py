@@ -26,13 +26,12 @@ WIDTH = 128
 FEATURES = 3
 
 
-def init_params(rng, n_classes, state_dim=STATE_DIM, width=WIDTH, features=FEATURES,
-                learnable_h0=False):
+def init_params(rng, n_classes, state_dim=STATE_DIM, width=WIDTH, learnable_h0=False):
     """Fresh parameter store; weights uniform in +-1/sqrt(fan_in), biases zero."""
     store = ParamStore()
     store.add("fc1_w", uniform_init(rng, state_dim, (state_dim, width)))
     store.add("fc1_b", np.zeros(width))
-    store.add("fcu_w", uniform_init(rng, features, (features, width)))
+    store.add("fcu_w", uniform_init(rng, FEATURES, (FEATURES, width)))
     store.add("fcu_b", np.zeros(width))
     store.add("fc2_w", uniform_init(rng, 2 * width, (2 * width, width)))
     store.add("fc2_b", np.zeros(width))
@@ -304,7 +303,8 @@ class OnlineClassifier(OnlineSession):
                         h = h + d_buf
                     states[i] = h
                 logits = states[lo:hi] @ wc + bc
-                yield zip(seq.ts[lo:hi], np.argmax(logits, axis=1), en.softmax(logits, axis=1))
+                yield zip(seq.ts[lo:hi].tolist(), np.argmax(logits, axis=1).tolist(),
+                          en.softmax(logits, axis=1).tolist())
 
         return chunks(self.state[0], np.empty(w1.shape[1]), np.empty(w1.shape[1]),
                       np.empty(w1.shape[0]))

@@ -4,15 +4,14 @@ import numpy as np
 
 from .errors import ShapeError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """First/second moment estimates per parameter plus the step counter."""
 
-    def __init__(self, store, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(v) for name, v in store.items()}
         self.v = {name: np.zeros_like(v) for name, v in store.items()}
@@ -25,8 +24,8 @@ def adam_step(store, grads, state):
     """
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, p in store.items():
         g = grads.get(name)
         if g is None:
@@ -35,11 +34,11 @@ def adam_step(store, grads, state):
             raise ShapeError(f"gradient for {name!r} has shape {np.shape(g)}, want {p.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * np.square(g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     return store
 
 

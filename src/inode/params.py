@@ -9,7 +9,6 @@ little-endian u32 version, then one record per entry:
 Records are read until end of file.
 """
 
-import io
 import struct
 
 import numpy as np
@@ -149,9 +148,3 @@ def load_records(path_or_buf):
     finally:
         if own:
             buf.close()
-
-
-def store_to_bytes(store, extra=()):
-    buf = io.BytesIO()
-    save_store(store, buf, extra=extra)
-    return buf.getvalue()

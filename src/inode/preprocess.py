@@ -7,7 +7,6 @@ so rescaling every raw timestamp by a common integer factor leaves every
 normalized step bit-identical.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ class TimeStats:
             raise ValueError(f"dmax must be positive, got {self.dmax}")
 
 
-def compute_dq(dataset, dmax=1.0):
+def compute_dq(dataset):
     """Nearest-rank 98th percentile of all consecutive training gaps.
 
     The pool holds every t[i+1]-t[i] over every sequence.  Nearest rank
@@ -58,7 +57,7 @@ def compute_dq(dataset, dmax=1.0):
         if len(positive) == 0:
             raise DatasetError("all inter-event gaps are zero")
         dq = int(positive[0])
-    return TimeStats(dq=float(dq), dmax=float(dmax))
+    return TimeStats(dq=float(dq))
 
 
 def normalize_dt(dt, stats):
@@ -89,18 +88,6 @@ def clamped_input(event, sensor_dims):
         x, y = min(max(x, 0), w - 1), min(max(y, 0), h - 1)
     xn, yn = normalize_coords(x, y, sensor_dims)
     return np.array([xn, yn, 2.0 * event.p - 1.0]), clamped
-
-
-def normalize_input(event, sensor_dims):
-    """Feature vector (x_norm, y_norm, p_signed) for one event.
-
-    Out-of-bounds coordinates are clamped with a warning.
-    """
-    u, clamped = clamped_input(event, sensor_dims)
-    if clamped:
-        warnings.warn(f"event at ({event.x}, {event.y}) outside sensor "
-                      f"{sensor_dims[0]}x{sensor_dims[1]}; clamping", stacklevel=2)
-    return u
 
 
 def normalize_sequence(seq):

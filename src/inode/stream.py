@@ -34,8 +34,7 @@ def make_session(ckpt):
 
 
 def format_prediction(t, pred, posterior):
-    probs = " ".join("%.12g" % p for p in posterior)
-    return f"{t} {pred} {probs}"
+    return ("%d %d" + " %.12g" * len(posterior)) % (t, pred, *posterior)
 
 
 class LineSession:
@@ -113,13 +112,13 @@ def load_replay(path, sensor_dims):
 
 
 def replay_events(seq, session, outfile, pace=True):
-    """Feed a decoded sequence through a session, pacing by timestamps."""
+    """Feed a decoded sequence through an online session, pacing by timestamps."""
     prev_t = None
     for event in seq:
         if pace and prev_t is not None and event.t > prev_t:
             time.sleep((event.t - prev_t) / 1e6)
         prev_t = event.t
-        pred, posterior = session.classifier.observe(event)
+        pred, posterior = session.observe(event)
         outfile.write(format_prediction(event.t, pred, posterior) + "\n")
     return len(seq)
 

@@ -38,8 +38,6 @@ class RunConfig:
     rho: float = 1.0
     seed: int = 0
     eval_lengths: tuple = DEFAULT_EVAL_LENGTHS
-    dmax: float = 1.0
-    eval_repeats: int = 1
     grad_clip: float | None = None
     learnable_h0: bool = False
 
@@ -97,7 +95,7 @@ class Trainer:
         self.train_set = train_set
         self.test_set = test_set
         self.batch_size = max(1, round(config.rho * config.batch_size))
-        self.stats = compute_dq(self.train_set, dmax=config.dmax)
+        self.stats = compute_dq(self.train_set)
         self.kind = model_kind(config.model)
         self.store = self.kind.init(np.random.default_rng([config.seed, 0x1]), config)
         self.adam = AdamState(self.store, lr=config.lr)
@@ -144,11 +142,10 @@ class Trainer:
     def _bits(self, salt):
         return (self.config.seed << 16) ^ (self._epoch * 7919) ^ salt
 
-    def evaluate(self, lengths=None, repeats=None):
+    def evaluate(self, lengths=None, repeats=1):
         cfg = self.config
         return evaluate(self.store, self.stats, cfg.model, self.test_set,
-                        lengths or cfg.eval_lengths, self._bits(0xACC),
-                        repeats or cfg.eval_repeats)
+                        lengths or cfg.eval_lengths, self._bits(0xACC), repeats)
 
     def save(self, path, store=None):
         cfg = self.config
@@ -232,8 +229,9 @@ def _svg_polyline(xs, ys, x0, y0, w, h, xmax, ymin, ymax, color):
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{" ".join(pts)}"/>'
 
 
-def metrics_svg(log, width=640, height=480):
+def metrics_svg(log):
     """Two stacked panels of learning curves: losses, then accuracy per budget."""
+    width, height = 640, 480
     if not log:
         raise ValueError("empty metrics log")
     epochs = [r.epoch for r in log]

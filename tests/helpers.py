@@ -1,8 +1,11 @@
 """Shared oracles for the test suite."""
 
+import io
+
 import numpy as np
 
 from inode import engine as en
+from inode.params import MAGIC, read_records
 
 
 def central_difference(loss_fn, store, names=None, h=1e-6):
@@ -118,3 +121,14 @@ def sigmoid_masked(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def record_starts(blob):
+    """(name, byte offset) of each record of a serialized store, in file order."""
+    buf = io.BytesIO(blob)
+    buf.seek(len(MAGIC) + 4)
+    starts, offset = [], buf.tell()
+    for name, _ in read_records(buf):
+        starts.append((name, offset))
+        offset = buf.tell()
+    return starts

@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import inode
+from helpers import record_starts
+from inode.checkpoint import META_CONFIG
+from inode.params import ParamStore, load_records, save_store
 
 TINY_DATA = ["--synthetic", "movedot2", "--train-count", "24", "--test-count", "12",
              "--synth-events", "120"]
@@ -123,6 +128,25 @@ def test_corrupt_checkpoint_exits_2(tmp_path, command):
     _assert_clean_exit_2(run_cli(command, "--ckpt", str(bad), *data, stdin=""))
 
 
+def _cut_before_readout(blob):
+    return blob[:dict(record_starts(blob))["fcc_w"]]
+
+
+def _config_not_utf8(blob):
+    records = load_records(io.BytesIO(blob))
+    records[META_CONFIG] = np.array([[255.0, 254.0, 123.0]])
+    buf = io.BytesIO()
+    save_store(ParamStore(), buf, extra=list(records.items()))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("corrupt", [_cut_before_readout, _config_not_utf8])
+def test_damaged_checkpoint_exits_2(trained, tmp_path, corrupt):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(trained.read_bytes()))
+    _assert_clean_exit_2(run_cli("stream", "--ckpt", str(bad), stdin="E 1 2 1 100\n"))
+
+
 def test_corrupt_replay_file_exits_2(trained, tmp_path):
     replay = tmp_path / "replay.bin"
     replay.write_bytes(b"abc")
@@ -131,7 +155,6 @@ def test_corrupt_replay_file_exits_2(trained, tmp_path):
 
 
 def test_stream_replay_fast(trained, tmp_path):
-    import numpy as np
     from inode.events import write_aer
     from inode.synth import moving_dot
     seq = moving_dot(0, seed=2, n_events=200)

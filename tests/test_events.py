@@ -5,7 +5,7 @@ import pytest
 
 from inode.errors import DatasetError, FormatError
 from inode.events import (
-    Dataset, Event, EventSequence, T_WRAP, filter_by_event_count, load_dataset,
+    Dataset, Event, EventSequence, T_WRAP, load_dataset,
     parse_aer, parse_aer16, read_manifest, split_dataset, subset_fraction, write_aer,
     write_aer16,
 )
@@ -181,12 +181,10 @@ def test_subset_fraction_keeps_ceil(tmp_path):
     assert [s.ts[0] for s in a] == [s.ts[0] for s in b]
 
 
-def test_filter_and_split():
+def test_split_dataset():
     seqs = [EventSequence([0] * n, [0] * n, [0] * n, list(range(n)), label=0)
             for n in (5, 10, 15, 20)]
     ds = Dataset(seqs, class_count=1)
-    kept = filter_by_event_count(ds, 10, 15)
-    assert sorted(len(s) for s in kept) == [10, 15]
     train, test = split_dataset(ds, 0.75, seed=0)
     assert len(train) == 3 and len(test) == 1
     train_ids = {id(s) for s in train}

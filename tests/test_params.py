@@ -3,11 +3,11 @@ import io
 import numpy as np
 import pytest
 
+from helpers import record_starts
 from inode import lstm, model
-from inode.checkpoint import META_MODEL, load_checkpoint, save_checkpoint
+from inode.checkpoint import META_CONFIG, META_MODEL, load_checkpoint, save_checkpoint
 from inode.errors import FormatError, ShapeError
-from inode.params import (MAGIC, ParamStore, load_records, save_store, store_to_bytes,
-                          uniform_init)
+from inode.params import MAGIC, ParamStore, load_records, save_store, uniform_init
 from inode.preprocess import TimeStats
 
 
@@ -17,6 +17,12 @@ def _example_store():
     store.add("layer_w", rng.standard_normal((3, 5)))
     store.add("layer_b", np.zeros(5))
     return store
+
+
+def _to_bytes(store):
+    buf = io.BytesIO()
+    save_store(store, buf)
+    return buf.getvalue()
 
 
 def test_store_rejects_bad_entries():
@@ -38,7 +44,7 @@ def test_bias_rows_become_two_dimensional():
 
 def test_serialization_round_trip():
     store = _example_store()
-    blob = store_to_bytes(store)
+    blob = _to_bytes(store)
     assert blob.startswith(MAGIC)
     records = load_records(io.BytesIO(blob))
     assert set(records) == {"layer_w", "layer_b"}
@@ -49,7 +55,7 @@ def test_serialization_round_trip():
 def test_wire_layout_is_exact():
     store = ParamStore()
     store.add("ab", np.array([[1.0, 2.0]]))
-    blob = store_to_bytes(store)
+    blob = _to_bytes(store)
     # magic, version u32, name_len u32, name, rows u32, cols u32, payload
     assert blob[:6] == b"INODE1"
     assert blob[6:10] == (1).to_bytes(4, "little")
@@ -62,7 +68,7 @@ def test_wire_layout_is_exact():
 
 def test_bad_magic_and_truncation():
     store = _example_store()
-    blob = store_to_bytes(store)
+    blob = _to_bytes(store)
     with pytest.raises(FormatError):
         load_records(io.BytesIO(b"NOPE" + blob[4:]))
     with pytest.raises(FormatError):
@@ -77,7 +83,7 @@ def test_uniform_init_bounds():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    store = _example_store()
+    store = lstm.init_params(np.random.default_rng(0), 7, hidden=5)
     stats = TimeStats(dq=123.0, dmax=1.0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, stats, kind="lstm", n_classes=7, state_dim=5,
@@ -136,11 +142,10 @@ def test_corrupt_model_geometry_rejected(tmp_path, column, value):
 
 
 def test_class_count_disagreeing_with_readout_rejected(tmp_path):
-    store = _example_store()
-    store.add("fcc_w", np.zeros((5, 2)))
+    store = lstm.init_params(np.random.default_rng(2), 2, hidden=5)
     path = tmp_path / "model.ckpt"
     _patched_checkpoint(path, 1, 7.0, store)
-    with pytest.raises(FormatError, match="read-out"):
+    with pytest.raises(FormatError, match="disagrees"):
         load_checkpoint(path)
     _patched_checkpoint(path, 1, 2.0, store)
     assert load_checkpoint(path).n_classes == 2
@@ -165,3 +170,55 @@ def test_geometry_disagreeing_with_the_store_rejected(tmp_path, kind, state_dim,
                     state_dim=right[0], features=right[1], sensor_dims=(34, 34))
     ckpt = load_checkpoint(path)
     assert (ckpt.state_dim, ckpt.features) == right
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm", "bilstm"])
+def test_checkpoint_cut_at_any_record_boundary_rejected(kind):
+    rng = np.random.default_rng(5)
+    if kind == "inode":
+        store, geometry = model.init_params(rng, 3, state_dim=4), (4, model.FEATURES)
+    else:
+        store = lstm.init_params(rng, 3, hidden=5, bidirectional=kind == "bilstm")
+        geometry = (5, lstm.INPUT_DIM)
+    buf = io.BytesIO()
+    save_checkpoint(buf, store, TimeStats(dq=1.0), kind=kind, n_classes=3,
+                    state_dim=geometry[0], features=geometry[1], sensor_dims=(34, 34),
+                    config={"seed": 1})
+    blob = buf.getvalue()
+    starts = record_starts(blob)
+    assert len(starts) == 3 + len(store)
+    for _, offset in starts:
+        with pytest.raises(FormatError):
+            load_checkpoint(io.BytesIO(blob[:offset]))
+    assert load_checkpoint(io.BytesIO(blob)).store.names() == store.names()
+
+
+def test_checkpoint_with_a_weight_of_another_kind_rejected(tmp_path):
+    store = lstm.init_params(np.random.default_rng(6), 2, hidden=5)
+    store.add("h0", np.zeros(5))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store, TimeStats(dq=1.0), kind="lstm", n_classes=2, state_dim=5,
+                    features=4, sensor_dims=(34, 34))
+    with pytest.raises(FormatError, match="'h0' disagrees"):
+        load_checkpoint(path)
+
+
+def test_header_asking_for_more_weights_than_stored_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _patched_checkpoint(path, 2, 20_000.0, lstm.init_params(np.random.default_rng(7), 2, 5))
+    with pytest.raises(FormatError, match="asks for more"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config", [b"\xff\xfe{", b"{", b'{"a": 1} x'])
+def test_config_that_is_not_utf8_json_rejected(tmp_path, config):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, lstm.init_params(np.random.default_rng(8), 2, 5), TimeStats(dq=1.0),
+                    kind="lstm", n_classes=2, state_dim=5, features=4, sensor_dims=(34, 34),
+                    config={"seed": 1})
+    records = load_records(path)
+    records[META_CONFIG] = np.frombuffer(config, dtype=np.uint8)[None, :].astype(np.float64)
+    save_store(ParamStore(), path, extra=list(records.items()))
+    with pytest.raises(FormatError, match="config"):
+        load_checkpoint(path)
+

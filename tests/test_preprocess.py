@@ -4,8 +4,8 @@ import pytest
 from inode.errors import DatasetError
 from inode.events import Dataset, Event, EventSequence
 from inode.preprocess import (
-    TimeStats, compute_dq, make_batch, normalize_dt, normalize_input,
-    normalize_sequence, sample_subsequence,
+    TimeStats, clamped_input, compute_dq, make_batch, normalize_dt, normalize_sequence,
+    sample_subsequence,
 )
 
 
@@ -82,18 +82,19 @@ def test_rescaling_equivariance_is_exact():
     assert np.array_equal(a, b)  # bit-identical steps
 
 
-def test_normalize_input_endpoints():
+def test_clamped_input_endpoints():
     dims = (34, 34)
-    assert normalize_input(Event(0, 17, 0, 0), dims)[0] == -1.0
-    assert normalize_input(Event(33, 17, 0, 0), dims)[0] == 1.0
-    assert normalize_input(Event(5, 5, 0, 0), dims)[2] == -1.0
-    assert normalize_input(Event(5, 5, 1, 0), dims)[2] == 1.0
+    assert clamped_input(Event(0, 17, 0, 0), dims)[0][0] == -1.0
+    assert clamped_input(Event(33, 17, 0, 0), dims)[0][0] == 1.0
+    assert clamped_input(Event(5, 5, 0, 0), dims)[0][2] == -1.0
+    assert clamped_input(Event(5, 5, 1, 0), dims)[0][2] == 1.0
+    assert not clamped_input(Event(33, 33, 1, 0), dims)[1]
 
 
-def test_normalize_input_clamps_with_warning():
-    with pytest.warns(UserWarning):
-        v = normalize_input(Event(99, 2, 1, 0), (34, 34))
-    assert v[0] == 1.0
+def test_clamped_input_clamps_to_the_edge():
+    v, clamped = clamped_input(Event(99, 2, 1, 0), (34, 34))
+    assert clamped
+    assert np.array_equal(v, clamped_input(Event(33, 2, 1, 0), (34, 34))[0])
 
 
 def _labeled_sequence(n, label=1, gap=100):

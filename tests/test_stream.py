@@ -159,7 +159,7 @@ def test_replay_file_round_trip(tmp_path):
     path.write_bytes(write_aer(seq))
     loaded = stream.load_replay(path, ckpt.sensor_dims)
     out = io.StringIO()
-    n = stream.replay_events(loaded, _session(ckpt), out, pace=False)
+    n = stream.replay_events(loaded, stream.make_session(ckpt), out, pace=False)
     assert n == 60
     assert len(out.getvalue().strip().split("\n")) == 60
 
@@ -178,7 +178,7 @@ def test_fast_replay_agrees_with_per_event_path(learnable_h0):
     ckpt = _ckpt(seed=10, learnable_h0=learnable_h0)
     seq = moving_dot(1, seed=11, n_events=400, noise_rate=0.2)
     slow_out = io.StringIO()
-    stream.replay_events(seq, _session(ckpt), slow_out, pace=False)
+    stream.replay_events(seq, stream.make_session(ckpt), slow_out, pace=False)
     fast_out = io.StringIO()
     n, _ = stream.fast_replay(seq, ckpt, fast_out)
     assert n == 400
@@ -213,7 +213,7 @@ def test_lstm_fast_replay_writes_the_per_event_text():
     ckpt = _ckpt(seed=14, n_classes=3, kind="lstm", state_dim=7)
     seq = moving_dot(2, seed=15, n_events=300, noise_rate=0.2)
     slow_out, fast_out = io.StringIO(), io.StringIO()
-    stream.replay_events(seq, _session(ckpt), slow_out, pace=False)
+    stream.replay_events(seq, stream.make_session(ckpt), slow_out, pace=False)
     n, _ = stream.fast_replay(seq, ckpt, fast_out)
     assert n == 300
     assert fast_out.getvalue() == slow_out.getvalue()
