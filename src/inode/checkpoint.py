@@ -7,9 +7,8 @@ configuration as JSON, so loading never touches training data.
 """
 
 import json
-import math
 from dataclasses import dataclass
-from types import ModuleType, SimpleNamespace
+from types import ModuleType
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,7 @@ class ModelKind:
     reached through ``module`` when called, so a wrapper rebinding one is seen."""
 
     module: ModuleType          # provides init_params, forward and backward_bptt
-    init: Callable              # (rng, RunConfig) -> fresh ParamStore
+    layout: Callable            # (n_classes, hidden, learnable_h0) -> the module's layout
     features: int               # input features per event
     hidden: int                 # default state (ODE) or cell (LSTM) size
     online: type | None         # event-by-event classifier; None if it needs the whole window
@@ -40,15 +39,13 @@ class ModelKind:
 # inode 0, lstm 1, bilstm 2.  Append new kinds; never reorder.
 MODEL_KINDS = {
     "inode": ModelKind(
-        model, lambda rng, cfg: model.init_params(rng, cfg.n_classes, state_dim=cfg.hidden,
-                                                  learnable_h0=cfg.learnable_h0),
+        model, lambda n_classes, hidden, h0: model.layout(n_classes, hidden, model.WIDTH, h0),
         model.FEATURES, model.STATE_DIM, model.OnlineClassifier),
     "lstm": ModelKind(
-        lstm, lambda rng, cfg: lstm.init_params(rng, cfg.n_classes, hidden=cfg.hidden),
+        lstm, lambda n_classes, hidden, h0: lstm.layout(n_classes, hidden, False),
         lstm.INPUT_DIM, 72, lstm.OnlineLstm),
     "bilstm": ModelKind(
-        lstm, lambda rng, cfg: lstm.init_params(rng, cfg.n_classes, hidden=cfg.hidden,
-                                                bidirectional=True),
+        lstm, lambda n_classes, hidden, h0: lstm.layout(n_classes, hidden, True),
         lstm.INPUT_DIM, 72, None),
 }
 
@@ -72,9 +69,28 @@ class Checkpoint:
     config: dict | None = None
 
 
+def _check_layout(store, kind, n_classes, state_dim, features):
+    """FormatError unless the store holds exactly the weights, by name and
+    shape, of the kind's layout for the header's geometry (INODE's ``h0``
+    is optional)."""
+    if features != MODEL_KINDS[kind].features:
+        raise FormatError(f"checkpoint features {features} disagrees with its {kind} model")
+    want = {name: shape for name, shape, _ in
+            MODEL_KINDS[kind].layout(n_classes, state_dim, "h0" in store)}
+    have = {name: value.shape for name, value in store.items()}
+    for name in sorted(want.keys() | have.keys()):
+        if want.get(name) != have.get(name):
+            raise FormatError(f"checkpoint weight {name!r} disagrees with its {kind} header "
+                              f"(n_classes {n_classes}, state_dim {state_dim}): stored "
+                              f"{have.get(name, 'nothing')}, expected {want.get(name, 'nothing')}")
+
+
 def save_checkpoint(path, store, stats, kind, n_classes, state_dim, features,
                     sensor_dims, config=None):
-    model_kind(kind)  # ValueError for an unknown kind
+    """Write a checkpoint; ValueError for an unknown kind, FormatError for a
+    store or geometry that ``load_checkpoint`` would refuse."""
+    model_kind(kind)
+    _check_layout(store, kind, n_classes, state_dim, features)
     extra = [
         (META_STATS, np.array([[stats.dq, stats.dmax]])),
         (META_MODEL, np.array([[float(list(MODEL_KINDS).index(kind)), float(n_classes),
@@ -87,47 +103,23 @@ def save_checkpoint(path, store, stats, kind, n_classes, state_dim, features,
     save_store(store, path, extra=extra)
 
 
-class _LayoutRng:
-    """Stands in for the generator a kind's ``init`` draws its weights from.
-    It hands out zeros and refuses, before allocating, weights beyond
-    ``budget`` scalars in all.  Each kind draws a weight with every size
-    of bias row before it builds that row, so a hostile header cannot make
-    the layout check allocate much more than the checkpoint holds."""
-
-    def __init__(self, budget):
-        self.budget = budget
-
-    def uniform(self, low, high, size):
-        self.budget -= math.prod(size)
-        if self.budget < 0:
-            raise FormatError("checkpoint header disagrees with its weights: it asks for more")
-        return np.zeros(size)
-
-
-def _check_layout(store, kind, n_classes, state_dim, features):
-    """FormatError unless the store holds exactly the weights, by name and
-    shape, that the kind builds for the header's geometry (INODE's ``h0``
-    is optional)."""
-    if features != MODEL_KINDS[kind].features:
-        raise FormatError(f"checkpoint features {features} disagrees with its {kind} model")
-    geometry = SimpleNamespace(n_classes=n_classes, hidden=state_dim,
-                               learnable_h0="h0" in store)
-    built = MODEL_KINDS[kind].init(_LayoutRng(store.total_scalars()), geometry)
-    want = {name: value.shape for name, value in built.items()}
-    have = {name: value.shape for name, value in store.items()}
-    for name in sorted(want.keys() | have.keys()):
-        if want.get(name) != have.get(name):
-            raise FormatError(f"checkpoint weight {name!r} disagrees with its {kind} header "
-                              f"(n_classes {n_classes}, state_dim {state_dim}): stored "
-                              f"{have.get(name, 'nothing')}, expected {want.get(name, 'nothing')}")
+def _meta_row(records, name, cols):
+    """The one row of a metadata record, which must be 1 x ``cols``."""
+    value = records.pop(name)
+    if value.shape != (1, cols):
+        raise FormatError(f"checkpoint record {name!r} is {value.shape}, expected (1, {cols})")
+    return value[0]
 
 
 def load_checkpoint(path):
     records = load_records(path)
     if META_STATS not in records or META_MODEL not in records:
         raise FormatError("checkpoint is missing its metadata records")
-    dq, dmax = records.pop(META_STATS)[0]
-    kind_code, n_classes, state_dim, features, w, h = records.pop(META_MODEL)[0]
+    dq, dmax = _meta_row(records, META_STATS, 2)
+    kind_code, n_classes, state_dim, features, w, h = _meta_row(records, META_MODEL, 6)
+    if not (np.isfinite([dq, dmax]).all() and dq > 0 and dmax > 0):
+        raise FormatError(f"checkpoint dq and dmax must be finite and positive, "
+                          f"got {dq!r} and {dmax!r}")
     if not (float(kind_code).is_integer() and 0 <= kind_code < len(MODEL_KINDS)):
         raise FormatError(f"unknown model kind code {kind_code!r}")
     geometry = {"n_classes": n_classes, "state_dim": state_dim, "features": features,
@@ -138,13 +130,18 @@ def load_checkpoint(path):
     config = None
     blob = records.pop(META_CONFIG, None)
     if blob is not None:
+        if blob.shape[0] != 1 or not np.all((blob >= 0) & (blob < 256) & (blob == np.floor(blob))):
+            raise FormatError("checkpoint config is not one row of bytes")
         try:
             config = json.loads(bytes(blob[0].astype(np.uint8)).decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
             raise FormatError(f"checkpoint config is not UTF-8 JSON: {exc}") from None
     store = ParamStore()
     for name, value in records.items():
-        store.add(name, value)
+        try:
+            store.add(name, value)
+        except ValueError as exc:  # a weight that is not finite
+            raise FormatError(f"checkpoint {exc}") from None
     kind = list(MODEL_KINDS)[int(kind_code)]
     _check_layout(store, kind, int(n_classes), int(state_dim), int(features))
     return Checkpoint(

@@ -13,25 +13,27 @@ import numpy as np
 
 from . import engine as en
 from .model import ForwardResult, OnlineSession, _val, classify, gradients, unroll
-from .params import ParamStore, uniform_init
+from .params import init_store
 
 GATES = ("i", "f", "g", "o")
 INPUT_DIM = 4
 
 
-def init_params(rng, n_classes, hidden, bidirectional=False):
-    """Gate weights W_* (in->H), recurrent U_* (H->H), biases, classifier."""
-    store = ParamStore()
-    prefixes = ("fwd", "bwd") if bidirectional else ("fwd",)
-    for prefix in prefixes:
-        for gate in GATES:
-            store.add(f"{prefix}_w{gate}", uniform_init(rng, INPUT_DIM, (INPUT_DIM, hidden)))
-            store.add(f"{prefix}_u{gate}", uniform_init(rng, hidden, (hidden, hidden)))
-            store.add(f"{prefix}_b{gate}", np.zeros(hidden))
+def layout(n_classes, hidden, bidirectional):
+    """``(name, (rows, cols), drawn)`` of every weight, in store order: gate
+    weights W_* (in->H) and recurrent U_* (H->H) drawn, biases zero, then
+    the classifier."""
+    gates = [(f"{prefix}_{part}{gate}", (rows, hidden), part != "b")
+             for prefix in (("fwd", "bwd") if bidirectional else ("fwd",))
+             for gate in GATES
+             for part, rows in (("w", INPUT_DIM), ("u", hidden), ("b", 1))]
     head_in = 2 * hidden if bidirectional else hidden
-    store.add("fcc_w", uniform_init(rng, head_in, (head_in, n_classes)))
-    store.add("fcc_b", np.zeros(n_classes))
-    return store
+    return [*gates, ("fcc_w", (head_in, n_classes), True), ("fcc_b", (1, n_classes), False)]
+
+
+def init_params(rng, n_classes, hidden, bidirectional=False):
+    """Fresh parameter store; weights uniform in +-1/sqrt(fan_in), biases zero."""
+    return init_store(rng, layout(n_classes, hidden, bidirectional))
 
 
 def hidden_dim_of(store):

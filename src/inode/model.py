@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as en
-from .params import ParamStore, uniform_init
+from .params import init_store
 from .preprocess import (CLAMP_WARNING, REGRESSION_WARNING, clamped_input, normalize_dt,
                          normalize_sequence)
 
@@ -26,22 +26,21 @@ WIDTH = 128
 FEATURES = 3
 
 
+def layout(n_classes, state_dim, width, learnable_h0):
+    """``(name, (rows, cols), drawn)`` of every weight, in store order: the
+    weights are drawn, the biases and ``h0`` start at zero.  ``h0`` leads,
+    so a file cut anywhere loses a weight that every store has."""
+    return [*([("h0", (1, state_dim), False)] if learnable_h0 else []),
+            ("fc1_w", (state_dim, width), True), ("fc1_b", (1, width), False),
+            ("fcu_w", (FEATURES, width), True), ("fcu_b", (1, width), False),
+            ("fc2_w", (2 * width, width), True), ("fc2_b", (1, width), False),
+            ("fc3_w", (width, state_dim), True), ("fc3_b", (1, state_dim), False),
+            ("fcc_w", (state_dim, n_classes), True), ("fcc_b", (1, n_classes), False)]
+
+
 def init_params(rng, n_classes, state_dim=STATE_DIM, width=WIDTH, learnable_h0=False):
     """Fresh parameter store; weights uniform in +-1/sqrt(fan_in), biases zero."""
-    store = ParamStore()
-    store.add("fc1_w", uniform_init(rng, state_dim, (state_dim, width)))
-    store.add("fc1_b", np.zeros(width))
-    store.add("fcu_w", uniform_init(rng, FEATURES, (FEATURES, width)))
-    store.add("fcu_b", np.zeros(width))
-    store.add("fc2_w", uniform_init(rng, 2 * width, (2 * width, width)))
-    store.add("fc2_b", np.zeros(width))
-    store.add("fc3_w", uniform_init(rng, width, (width, state_dim)))
-    store.add("fc3_b", np.zeros(state_dim))
-    store.add("fcc_w", uniform_init(rng, state_dim, (state_dim, n_classes)))
-    store.add("fcc_b", np.zeros(n_classes))
-    if learnable_h0:
-        store.add("h0", np.zeros(state_dim))
-    return store
+    return init_store(rng, layout(n_classes, state_dim, width, learnable_h0))
 
 
 def state_dim_of(store):

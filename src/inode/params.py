@@ -9,6 +9,7 @@ little-endian u32 version, then one record per entry:
 Records are read until end of file.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -71,10 +72,14 @@ class ParamStore:
         return out
 
 
-def uniform_init(rng, fan_in, shape):
-    """Uniform weights in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def init_store(rng, layout):
+    """A fresh store of a layout's ``(name, (rows, cols), drawn)`` weights, in
+    its order: drawn ones uniform in +-1/sqrt(rows), the others zero."""
+    store = ParamStore()
+    for name, shape, drawn in layout:
+        bound = 1.0 / np.sqrt(shape[0])
+        store.add(name, rng.uniform(-bound, bound, size=shape) if drawn else np.zeros(shape))
+    return store
 
 
 def write_records(buf, entries):
@@ -89,26 +94,29 @@ def write_records(buf, entries):
 
 
 def read_records(buf):
-    """Yield (name, array) records until end of stream."""
-    while True:
-        head = buf.read(4)
-        if not head:
-            return
-        if len(head) != 4:
-            raise FormatError("truncated record header")
-        (name_len,) = struct.unpack("<I", head)
-        raw = buf.read(name_len)
-        if len(raw) != name_len:
-            raise FormatError("truncated record name")
-        dims = buf.read(8)
-        if len(dims) != 8:
-            raise FormatError("truncated record dimensions")
-        rows, cols = struct.unpack("<II", dims)
-        payload = buf.read(rows * cols * 8)
-        if len(payload) != rows * cols * 8:
-            raise FormatError("truncated record payload")
-        value = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
-        yield raw.decode("utf-8"), value
+    """Yield (name, array) records until end of a seekable stream.  A length
+    field that runs past the end is refused before anything is read."""
+    here = buf.tell()
+    left = buf.seek(0, io.SEEK_END) - here
+    buf.seek(here)
+
+    def take(size, field):
+        nonlocal left
+        if size > left:
+            raise FormatError(f"truncated record {field}")
+        left -= size
+        return buf.read(size)
+
+    while left:
+        (name_len,) = struct.unpack("<I", take(4, "header"))
+        raw = take(name_len, "name")
+        rows, cols = struct.unpack("<II", take(8, "dimensions"))
+        payload = take(rows * cols * 8, "payload")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"record name {raw!r} is not UTF-8") from None
+        yield name, np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
 
 
 def save_store(store, path_or_buf, extra=()):

@@ -81,6 +81,8 @@ def serve_lines(session, infile=None, outfile=None):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True  # a reply goes out now, not after the client's next line
+
     def handle(self):
         session = LineSession(make_session(self.server.ckpt))
         for raw in self.rfile:

@@ -19,6 +19,7 @@ from .checkpoint import model_kind, save_checkpoint
 from .errors import NaNLossError
 from .events import subset_fraction
 from .optim import AdamState, adam_step, clip_global_norm
+from .params import init_store
 from .preprocess import compute_dq, make_batch
 
 DEFAULT_EVAL_LENGTHS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
@@ -97,7 +98,9 @@ class Trainer:
         self.batch_size = max(1, round(config.rho * config.batch_size))
         self.stats = compute_dq(self.train_set)
         self.kind = model_kind(config.model)
-        self.store = self.kind.init(np.random.default_rng([config.seed, 0x1]), config)
+        self.store = init_store(np.random.default_rng([config.seed, 0x1]),
+                                self.kind.layout(config.n_classes, config.hidden,
+                                                 config.learnable_h0))
         self.adam = AdamState(self.store, lr=config.lr)
         self.log = []
         self.best_store = None

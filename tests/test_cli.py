@@ -140,7 +140,13 @@ def _config_not_utf8(blob):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("corrupt", [_cut_before_readout, _config_not_utf8])
+def _rows_flipped(blob):
+    """2^31 more rows in fc1_w's header: 2 TB of payload that the file lacks."""
+    top = dict(record_starts(blob))["fc1_w"] + 4 + len("fc1_w") + 3
+    return blob[:top] + bytes([blob[top] ^ 0x80]) + blob[top + 1:]
+
+
+@pytest.mark.parametrize("corrupt", [_cut_before_readout, _config_not_utf8, _rows_flipped])
 def test_damaged_checkpoint_exits_2(trained, tmp_path, corrupt):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(corrupt(trained.read_bytes()))

@@ -1,13 +1,15 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import record_starts
 from inode import lstm, model
-from inode.checkpoint import META_CONFIG, META_MODEL, load_checkpoint, save_checkpoint
+from inode.checkpoint import (META_CONFIG, META_MODEL, META_STATS, load_checkpoint,
+                              save_checkpoint)
 from inode.errors import FormatError, ShapeError
-from inode.params import MAGIC, ParamStore, load_records, save_store, uniform_init
+from inode.params import MAGIC, ParamStore, init_store, load_records, save_store
 from inode.preprocess import TimeStats
 
 
@@ -75,9 +77,12 @@ def test_bad_magic_and_truncation():
         load_records(io.BytesIO(blob[:-3]))
 
 
-def test_uniform_init_bounds():
-    rng = np.random.default_rng(1)
-    w = uniform_init(rng, 16, (100, 100))
+def test_init_store_bounds():
+    store = init_store(np.random.default_rng(1), [("b", (1, 100), False), ("w", (16, 625), True)])
+    assert store.names() == ["b", "w"]
+    assert not store["b"].any()
+    w = store["w"]
+    assert w.shape == (16, 625)
     assert np.abs(w).max() <= 0.25
     assert np.abs(w).max() > 0.2  # actually fills the range
 
@@ -109,24 +114,36 @@ def test_checkpoint_without_metadata_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("code", [3.0, -1.0, 2.5, float("nan")])
-def test_corrupt_model_kind_code_rejected(tmp_path, code):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, _example_store(), TimeStats(dq=1.0), kind="lstm", n_classes=2,
-                    state_dim=5, features=4, sensor_dims=(34, 34))
+def _saved_checkpoint(path, store=None, kind="lstm", geometry=(5, 4), **config):
+    """A valid checkpoint of ``store``, by default a 2-class H = 5 LSTM."""
+    if store is None:
+        store = lstm.init_params(np.random.default_rng(0), 2, hidden=5)
+    save_checkpoint(path, store, TimeStats(dq=1.0), kind=kind, n_classes=2,
+                    state_dim=geometry[0], features=geometry[1], sensor_dims=(34, 34), **config)
+
+
+def _rewrite_records(path, edit):
+    """Apply ``edit`` to the record dict of a saved checkpoint and write it back."""
     records = load_records(path)
-    records[META_MODEL][0, 0] = code
+    edit(records)
     save_store(ParamStore(), path, extra=list(records.items()))
-    with pytest.raises(FormatError, match="kind code"):
-        load_checkpoint(path)
 
 
 def _patched_checkpoint(path, column, value, store=None):
-    save_checkpoint(path, store if store is not None else _example_store(), TimeStats(dq=1.0),
-                    kind="lstm", n_classes=2, state_dim=5, features=4, sensor_dims=(34, 34))
-    records = load_records(path)
-    records[META_MODEL][0, column] = value
-    save_store(ParamStore(), path, extra=list(records.items()))
+    """A valid checkpoint whose model record has ``value`` in ``column``."""
+    _saved_checkpoint(path, store)
+
+    def patch(records):
+        records[META_MODEL][0, column] = value
+    _rewrite_records(path, patch)
+
+
+@pytest.mark.parametrize("code", [3.0, -1.0, 2.5, float("nan")])
+def test_corrupt_model_kind_code_rejected(tmp_path, code):
+    path = tmp_path / "model.ckpt"
+    _patched_checkpoint(path, 0, code)
+    with pytest.raises(FormatError, match="kind code"):
+        load_checkpoint(path)
 
 
 # columns of the model record: kind, n_classes, state_dim, features, width, height
@@ -151,7 +168,7 @@ def test_class_count_disagreeing_with_readout_rejected(tmp_path):
     assert load_checkpoint(path).n_classes == 2
 
 
-# an H = 5 store saved with the wrong state_dim or features
+# an H = 5 store whose header says the wrong state_dim or features
 @pytest.mark.parametrize("kind, state_dim, features", [
     ("lstm", 30, 3), ("lstm", 30, 4), ("lstm", 5, 3), ("inode", 30, 3), ("inode", 5, 4),
 ])
@@ -162,26 +179,45 @@ def test_geometry_disagreeing_with_the_store_rejected(tmp_path, kind, state_dim,
     else:
         store, right = lstm.init_params(rng, 2, hidden=5), (5, 4)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, TimeStats(dq=1.0), kind=kind, n_classes=2,
-                    state_dim=state_dim, features=features, sensor_dims=(34, 34))
+    with pytest.raises(FormatError, match="disagrees"):
+        _saved_checkpoint(path, store, kind, (state_dim, features))
+    assert not path.exists()
+    _saved_checkpoint(path, store, kind, right)
+
+    def patch(records):
+        records[META_MODEL][0, 2:4] = state_dim, features
+    _rewrite_records(path, patch)
     with pytest.raises(FormatError, match="disagrees"):
         load_checkpoint(path)
-    save_checkpoint(path, store, TimeStats(dq=1.0), kind=kind, n_classes=2,
-                    state_dim=right[0], features=right[1], sensor_dims=(34, 34))
+    _saved_checkpoint(path, store, kind, right)
     ckpt = load_checkpoint(path)
     assert (ckpt.state_dim, ckpt.features) == right
 
 
-@pytest.mark.parametrize("kind", ["inode", "lstm", "bilstm"])
+# a 3-class INODE store (state 30) saved with a header that disagrees
+@pytest.mark.parametrize("n_classes, state_dim, features, width", [
+    (4, 30, 3, model.WIDTH), (3, 31, 3, model.WIDTH), (3, 30, 4, model.WIDTH), (3, 30, 3, 6),
+])
+def test_save_refuses_what_load_refuses(n_classes, state_dim, features, width):
+    store = model.init_params(np.random.default_rng(4), 3, width=width)
+    buf = io.BytesIO()
+    with pytest.raises(FormatError, match="disagrees"):
+        save_checkpoint(buf, store, TimeStats(dq=1.0), kind="inode", n_classes=n_classes,
+                        state_dim=state_dim, features=features, sensor_dims=(34, 34))
+    assert buf.getvalue() == b""
+
+
+@pytest.mark.parametrize("kind", ["inode", "inode_h0", "lstm", "bilstm"])
 def test_checkpoint_cut_at_any_record_boundary_rejected(kind):
     rng = np.random.default_rng(5)
-    if kind == "inode":
-        store, geometry = model.init_params(rng, 3, state_dim=4), (4, model.FEATURES)
+    if kind.startswith("inode"):
+        store = model.init_params(rng, 3, state_dim=4, learnable_h0=kind == "inode_h0")
+        geometry = (4, model.FEATURES)
     else:
         store = lstm.init_params(rng, 3, hidden=5, bidirectional=kind == "bilstm")
         geometry = (5, lstm.INPUT_DIM)
     buf = io.BytesIO()
-    save_checkpoint(buf, store, TimeStats(dq=1.0), kind=kind, n_classes=3,
+    save_checkpoint(buf, store, TimeStats(dq=1.0), kind=kind.removesuffix("_h0"), n_classes=3,
                     state_dim=geometry[0], features=geometry[1], sensor_dims=(34, 34),
                     config={"seed": 1})
     blob = buf.getvalue()
@@ -193,32 +229,93 @@ def test_checkpoint_cut_at_any_record_boundary_rejected(kind):
     assert load_checkpoint(io.BytesIO(blob)).store.names() == store.names()
 
 
+def test_checkpoint_with_h0_last_still_loads(tmp_path):
+    store = model.init_params(np.random.default_rng(6), 2, state_dim=4, learnable_h0=True)
+    path = tmp_path / "model.ckpt"
+    _saved_checkpoint(path, store, "inode", (4, model.FEATURES))
+    _rewrite_records(path, lambda records: records.update(h0=records.pop("h0")))
+    assert list(load_records(path))[-1] == "h0"
+    loaded = load_checkpoint(path).store
+    assert np.array_equal(loaded["h0"], store["h0"])
+
+
 def test_checkpoint_with_a_weight_of_another_kind_rejected(tmp_path):
     store = lstm.init_params(np.random.default_rng(6), 2, hidden=5)
     store.add("h0", np.zeros(5))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, TimeStats(dq=1.0), kind="lstm", n_classes=2, state_dim=5,
-                    features=4, sensor_dims=(34, 34))
+    with pytest.raises(FormatError, match="'h0' disagrees"):
+        _saved_checkpoint(path, store)
+    _saved_checkpoint(path)
+    _rewrite_records(path, lambda records: records.update(h0=np.zeros((1, 5))))
     with pytest.raises(FormatError, match="'h0' disagrees"):
         load_checkpoint(path)
 
 
 def test_header_asking_for_more_weights_than_stored_rejected(tmp_path):
+    # an H = 20,000 LSTM would hold 12.8 GB of recurrent weights; the
+    # refusal compares shapes and allocates almost nothing
     path = tmp_path / "model.ckpt"
     _patched_checkpoint(path, 2, 20_000.0, lstm.init_params(np.random.default_rng(7), 2, 5))
-    with pytest.raises(FormatError, match="asks for more"):
-        load_checkpoint(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="disagrees"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("config", [b"\xff\xfe{", b"{", b'{"a": 1} x'])
 def test_config_that_is_not_utf8_json_rejected(tmp_path, config):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, lstm.init_params(np.random.default_rng(8), 2, 5), TimeStats(dq=1.0),
-                    kind="lstm", n_classes=2, state_dim=5, features=4, sensor_dims=(34, 34),
-                    config={"seed": 1})
-    records = load_records(path)
-    records[META_CONFIG] = np.frombuffer(config, dtype=np.uint8)[None, :].astype(np.float64)
-    save_store(ParamStore(), path, extra=list(records.items()))
+    _saved_checkpoint(path, config={"seed": 1})
+
+    def patch(records):
+        records[META_CONFIG] = np.frombuffer(config, dtype=np.uint8)[None, :].astype(np.float64)
+    _rewrite_records(path, patch)
     with pytest.raises(FormatError, match="config"):
         load_checkpoint(path)
 
+
+# damaged metadata and weights, each refused with FormatError
+@pytest.mark.parametrize("record, value, match", [
+    ("fwd_wi", np.full((4, 5), np.nan), "non-finite"),
+    ("fcc_b", np.array([[np.inf, 0.0]]), "non-finite"),
+    (META_STATS, np.array([[1.0, 1.0, 1.0]]), "expected"),
+    (META_STATS, np.array([[0.0, 1.0]]), "finite and positive"),
+    (META_STATS, np.array([[1.0, -1.0]]), "finite and positive"),
+    (META_STATS, np.array([[np.inf, 1.0]]), "finite and positive"),
+    (META_MODEL, np.zeros((0, 6)), "expected"),
+    (META_MODEL, np.ones((2, 6)), "expected"),
+    (META_CONFIG, np.array([[123.5, 125.0]]), "bytes"),
+    (META_CONFIG, np.array([[123.0, np.nan]]), "bytes"),
+    (META_CONFIG, np.array([[123.0], [125.0]]), "bytes"),
+])
+def test_damaged_record_rejected(tmp_path, record, value, match):
+    path = tmp_path / "model.ckpt"
+    _saved_checkpoint(path, config={"seed": 1})
+    _rewrite_records(path, lambda records: records.update({record: value}))
+    with pytest.raises(FormatError, match=match):
+        load_checkpoint(path)
+
+
+def _flipped(blob, offset, bit):
+    return blob[:offset] + bytes([blob[offset] ^ (1 << bit)]) + blob[offset + 1:]
+
+
+def test_record_lengths_past_the_end_rejected_before_reading():
+    blob = _to_bytes(_example_store())
+    name_len, rows = len(MAGIC) + 4, len(MAGIC) + 4 + 4 + len("layer_w")
+    # a name of 2^31 bytes, 2^31 + 3 rows (86 GB), and 2^32 - 1 rows and columns (2^67 B)
+    for damaged in (_flipped(blob, name_len + 3, 7), _flipped(blob, rows + 3, 7),
+                    blob[:rows] + (2**32 - 1).to_bytes(4, "little") * 2 + blob[rows + 8:]):
+        with pytest.raises(FormatError, match="truncated"):
+            load_records(io.BytesIO(damaged))
+
+
+def test_record_name_that_is_not_utf8_rejected():
+    blob = _to_bytes(_example_store())
+    name = len(MAGIC) + 4 + 4
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_records(io.BytesIO(_flipped(blob, name, 7)))
