@@ -227,14 +227,6 @@ class OnlineSession:
         z = classify(h, self.store)
         return int(np.argmax(z[0])), en.softmax(z, axis=1)[0]
 
-    def replay(self, seq, chunk):
-        """(timestamp, class, posterior) of each event of a decoded recording,
-        from a fresh session: one iterable of them per ``chunk`` events,
-        each computed by ``observe``."""
-        for lo in range(0, len(seq), chunk):
-            yield [(event.t, *self.observe(event))
-                   for event in map(seq.event, range(lo, min(lo + chunk, len(seq))))]
-
 
 class OnlineClassifier(OnlineSession):
     """Event-by-event inference with sample-and-hold inputs.
@@ -262,9 +254,12 @@ class OnlineClassifier(OnlineSession):
         return self._predict(self.state)
 
     def replay(self, seq, chunk):
-        """The rows of ``OnlineSession.replay``, batched: the input half of
-        FC2 runs for the whole recording before this returns, the read-outs
-        and softmax once per chunk, and only the state recursion per event.
+        """(timestamp, class, posterior) of each event of a decoded
+        recording, as ``observe`` would give them from this session's state
+        with a zero first gap: one iterable of them per ``chunk`` events.
+        The input half of FC2 runs for the whole recording before this
+        returns, the read-outs and softmax once per chunk, and only the
+        state recursion per event.
 
         FC2 is split, tanh(FC1 h) W2_top + (tanh(FCu u) W2_bot + b2), which
         groups its sum differently from ``observe``: timestamps and arg-max

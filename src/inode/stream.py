@@ -129,7 +129,8 @@ def fast_replay(seq, ckpt, outfile, chunk=4096):
     """Full-speed replay, writing the lines the per-event session would.
 
     The checkpoint's session replays the whole recording (see
-    ``OnlineSession.replay``), which must be on the checkpoint's sensor.
+    ``OnlineClassifier.replay`` and ``OnlineLstm.replay``), which must be
+    on the checkpoint's sensor.
     Returns (events, seconds): the seconds cover the work done chunk by
     chunk, the recursion, the read-outs and the formatting, and not what
     the session prepares for the whole recording before its first chunk.

@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "inode"
 
 KEEP = {
+    "engine.sigmoid": "a generic op of the gradient engine, which the reference LSTM "
+                      "cell of the tests is built from; the fused cell calls _sigmoid",
     "engine.sum_all": "a generic op of the gradient engine, which the fused steps' "
                       "reference tapes in the tests are built from",
     "events.write_aer16": "the encoder of the AER16 format, the inverse that tests "

@@ -1,5 +1,6 @@
 import io
 import socket
+import sys
 import threading
 import warnings
 
@@ -217,6 +218,46 @@ def test_lstm_fast_replay_writes_the_per_event_text():
     n, _ = stream.fast_replay(seq, ckpt, fast_out)
     assert n == 300
     assert fast_out.getvalue() == slow_out.getvalue()
+
+
+def _event_lines(seq):
+    return [f"E {e.x} {e.y} {e.p} {e.t}" for e in seq]
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm"])
+def test_sessions_on_one_store_equal_each_alone(kind):
+    ckpt = _ckpt(seed=21, n_classes=3, kind=kind, state_dim=7)
+    seqs = [moving_dot(c % 3, seed=22 + c, n_events=200, noise_rate=0.2) for c in range(4)]
+    alone = []
+    for seq in seqs:
+        session = _session(ckpt)
+        alone.append([session.handle(line) for line in _event_lines(seq)])
+
+    sessions = [_session(ckpt) for _ in seqs]
+    interleaved = [[] for _ in seqs]
+    for lines in zip(*map(_event_lines, seqs)):
+        for j, line in enumerate(lines):
+            interleaved[j].append(sessions[j].handle(line))
+    assert interleaved == alone
+
+    threaded = [None] * len(seqs)
+
+    def run(j):
+        session = _session(ckpt)
+        threaded[j] = [session.handle(line) for line in _event_lines(seqs[j])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(len(seqs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == alone
 
 
 @pytest.mark.parametrize("kind", ["inode", "lstm"])
