@@ -28,7 +28,7 @@ class ModelKind:
     """How one model kind is built, run, stored and served.  Functions are
     reached through ``module`` when called, so a wrapper rebinding one is seen."""
 
-    module: ModuleType          # provides init_params, forward and backward_bptt
+    module: ModuleType          # provides forward and backward_bptt
     layout: Callable            # (n_classes, hidden, learnable_h0) -> the module's layout
     features: int               # input features per event
     hidden: int                 # default state (ODE) or cell (LSTM) size

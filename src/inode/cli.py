@@ -6,6 +6,8 @@ file among them), 3 training diverged.
 
 import argparse
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +33,34 @@ def _synthetic_classes(task):
     return n
 
 
+def _bounded(convert, ok, what):
+    """An argparse type: ``convert(text)``, refused unless ``ok`` holds for it."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_count = _bounded(int, lambda v: v >= 1, "a positive integer")
+_seed = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _bounded(float, lambda v: 0 < v < math.inf, "a positive number")
+_fraction = _bounded(float, lambda v: 0 < v <= 1, "a fraction in (0, 1]")
+_rate = _bounded(float, lambda v: 0 <= v <= 1, "a rate in [0, 1]")
+
+
+def _address(text):
+    host, _, port = text.rpartition(":")
+    if not host or not re.fullmatch(r"[0-9]{1,5}", port) or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"bad address {text!r}; want HOST:PORT, "
+                                         "the port in 0..65535")
+    return host, int(port)
+
+
 def _lengths(text):
     try:
         out = tuple(int(v) for v in text.split(","))
@@ -46,15 +76,15 @@ def _add_data_flags(p):
     src.add_argument("--data", help="dataset directory (root/<class>/<sample>.bin)")
     src.add_argument("--synthetic", type=_synthetic_classes, metavar="TASK",
                      help="built-in task, e.g. movedot2 or movedot10")
-    p.add_argument("--truncate", type=int, default=2000,
+    p.add_argument("--truncate", type=_count, default=2000,
                    help="keep only the first N events per sequence (default 2000)")
-    p.add_argument("--train-count", type=int, default=2000,
+    p.add_argument("--train-count", type=_count, default=2000,
                    help="synthetic training sequences (default 2000)")
-    p.add_argument("--test-count", type=int, default=500,
+    p.add_argument("--test-count", type=_count, default=500,
                    help="synthetic test sequences (default 500)")
-    p.add_argument("--synth-events", type=int, default=400,
+    p.add_argument("--synth-events", type=_count, default=400,
                    help="events per synthetic sequence (default 400)")
-    p.add_argument("--synth-noise", type=float, default=0.05,
+    p.add_argument("--synth-noise", type=_rate, default=0.05,
                    help="fraction of spurious synthetic events (default 0.05)")
 
 
@@ -85,31 +115,31 @@ def build_parser():
     pt = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_data_flags(pt)
     pt.add_argument("--model", choices=tuple(MODEL_KINDS), default="inode")
-    pt.add_argument("--hidden", type=int, default=None,
+    pt.add_argument("--hidden", type=_count, default=None,
                     help="state size (default: 30 for inode, 72 for lstm/bilstm)")
-    pt.add_argument("--epochs", type=int, default=50)
-    pt.add_argument("--lr", type=float, default=1e-3)
-    pt.add_argument("--batch", type=int, default=100)
-    pt.add_argument("--rho", type=float, default=1.0,
+    pt.add_argument("--epochs", type=_count, default=50)
+    pt.add_argument("--lr", type=_positive, default=1e-3)
+    pt.add_argument("--batch", type=_count, default=100)
+    pt.add_argument("--rho", type=_fraction, default=1.0,
                     help="fraction of the training set to use; batch scales with it")
-    pt.add_argument("--s-len", type=int, default=100)
-    pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--grad-clip", type=float, default=None)
+    pt.add_argument("--s-len", type=_count, default=100)
+    pt.add_argument("--seed", type=_seed, default=0)
+    pt.add_argument("--grad-clip", type=_positive, default=None)
     pt.add_argument("--out", required=True, help="checkpoint output path")
 
     pe = sub.add_parser("eval", help="accuracy of a checkpoint across event budgets")
     pe.add_argument("--ckpt", required=True)
     _add_data_flags(pe)
     pe.add_argument("--lengths", type=_lengths, default=_lengths(DEFAULT_LENGTHS))
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--repeats", type=int, default=1)
+    pe.add_argument("--seed", type=_seed, default=0)
+    pe.add_argument("--repeats", type=_count, default=1)
     pe.add_argument("--json-out", default=None,
                     help="where to write the accuracy table (default <ckpt>.eval.json)")
 
     ps = sub.add_parser("stream", help="classify a live event stream line by line")
     ps.add_argument("--ckpt", required=True)
     mode = ps.add_mutually_exclusive_group()
-    mode.add_argument("--listen", metavar="HOST:PORT",
+    mode.add_argument("--listen", metavar="HOST:PORT", type=_address,
                       help="serve the line protocol over TCP")
     mode.add_argument("--replay", metavar="FILE.bin",
                       help="feed a binary AER file through the classifier")
@@ -172,12 +202,9 @@ def cmd_stream(args):
             streaming.replay_events(seq, streaming.make_session(ckpt), sys.stdout, pace=True)
         return 0
     if args.listen:
-        host, _, port = args.listen.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"error: bad --listen address {args.listen!r}", file=sys.stderr)
-            return 2
+        host, port = args.listen
         print(f"listening on {host}:{port}", file=sys.stderr)
-        streaming.serve_tcp(ckpt, host, int(port))
+        streaming.serve_tcp(ckpt, host, port)
         return 0
     session = streaming.LineSession(streaming.make_session(ckpt))
     streaming.serve_lines(session)
@@ -185,7 +212,10 @@ def cmd_stream(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "stream" and args.fast and not args.replay:
+        parser.error("--fast needs --replay")
     command = {"train": cmd_train, "eval": cmd_eval, "stream": cmd_stream}[args.command]
     try:
         return command(args)

@@ -199,8 +199,7 @@ def forward_bidirectional(batch, store, tape=None, cell=lstm_step):
     loss_node = None
     if with_loss:
         loss_node, _ = en.softmax_cross_entropy(z, batch.labels)
-    return ForwardResult(logits=_val(z)[:, None, :], loss_node=loss_node,
-                         final_state=_val(joined))
+    return ForwardResult(logits=_val(z)[:, None, :], loss_node=loss_node)
 
 
 def backward_bptt(batch, store, cell=lstm_step):
@@ -246,7 +245,7 @@ class OnlineLstm(OnlineSession):
         feats = np.zeros((len(seq), INPUT_DIM))
         feats[:, :3] = normalize_sequence(seq)
         feats[1:, 3] = normalize_dt(np.maximum(np.diff(seq.ts), 0), self.stats)
-        wc, bc = self.store["fcc_w"], self.store["fcc_b"]
+        wc, bc = self._wc, self._bc
         logits = np.empty((chunk, wc.shape[1]))
         step = self._cell.step
 

@@ -115,7 +115,6 @@ def classify(h, store, tape=None):
 class ForwardResult:
     logits: np.ndarray          # [B x S x C], one read-out per step ([B x 1 x C] for a bi-LSTM)
     loss_node: object           # scalar mean loss, traced when a tape was given; None unlabeled
-    final_state: np.ndarray     # [B x state]
 
     @property
     def loss(self):
@@ -142,7 +141,7 @@ def unroll(batch, store, state, step, tape, hidden=lambda state: state):
             step_loss, _ = en.softmax_cross_entropy(z, batch.labels)
             loss_acc = step_loss if loss_acc is None else en.add(loss_acc, step_loss)
     loss_node = en.scale(loss_acc, 1.0 / s) if loss_acc is not None else None
-    return ForwardResult(logits=logits, loss_node=loss_node, final_state=_val(hidden(state)))
+    return ForwardResult(logits=logits, loss_node=loss_node)
 
 
 def gradients(tape, result):
@@ -152,16 +151,15 @@ def gradients(tape, result):
     return en.backward(tape, result.loss_node), result.loss
 
 
-def forward(batch, store, h0=None, tape=None, dynamics=None):
+def forward(batch, store, dynamics=None, tape=None):
     """Run the full window: S Euler steps, a read-out and loss after each.
 
     With a tape, the returned loss node supports exact gradients via
-    ``engine.backward``.
+    ``engine.backward``.  ``tape`` stays the fourth parameter, where the
+    benchmark's span namer looks for it when it is passed by position.
     """
     b, n = batch.size, state_dim_of(store)
-    if h0 is not None:
-        h = tape.const(np.asarray(h0, dtype=np.float64)) if tape is not None else np.asarray(h0, dtype=np.float64)
-    elif "h0" in store:
+    if "h0" in store:
         p = _binder(store, tape)
         h = en.add(np.zeros((b, n)), p("h0"))
     else:
@@ -173,13 +171,13 @@ def forward(batch, store, h0=None, tape=None, dynamics=None):
     return unroll(batch, store, h, step, tape)
 
 
-def backward_bptt(batch, store, h0=None, dynamics=None):
+def backward_bptt(batch, store, dynamics=None):
     """Exact gradients of the mean window loss for every parameter.
 
     Returns ``(grads, loss)`` with one gradient array per store entry.
     """
     tape = en.Tape()
-    return gradients(tape, forward(batch, store, h0=h0, tape=tape, dynamics=dynamics))
+    return gradients(tape, forward(batch, store, tape=tape, dynamics=dynamics))
 
 
 class OnlineSession:
@@ -193,6 +191,7 @@ class OnlineSession:
 
     def __init__(self, store, stats, sensor_dims):
         self.store = store
+        self._wc, self._bc = store["fcc_w"], store["fcc_b"]
         self.stats = stats
         self.sensor_dims = sensor_dims
         self.reset()
@@ -224,7 +223,8 @@ class OnlineSession:
 
     def _predict(self, h):
         """(class, posterior row) of a [1 x state] row; ties go to the lowest class."""
-        z = classify(h, self.store)
+        z = h @ self._wc
+        z += self._bc
         return int(np.argmax(z[0])), en.softmax(z, axis=1)[0]
 
 
@@ -272,7 +272,6 @@ class OnlineClassifier(OnlineSession):
         w2_bot = np.ascontiguousarray(w2[w2.shape[0] // 2:])
         b2 = store["fc2_b"][0]
         w3, b3 = store["fc3_w"], store["fc3_b"][0]
-        wc, bc = store["fcc_w"], store["fcc_b"][0]
         gaps = np.zeros(len(seq))
         gaps[1:] = normalize_dt(np.maximum(np.diff(seq.ts), 0), self.stats)
         # event i advances the state across gaps[i] using the input held from
@@ -296,7 +295,7 @@ class OnlineClassifier(OnlineSession):
                         d_buf *= gaps[i]
                         h = h + d_buf
                     states[i] = h
-                logits = states[lo:hi] @ wc + bc
+                logits = states[lo:hi] @ self._wc + self._bc
                 yield zip(seq.ts[lo:hi].tolist(), np.argmax(logits, axis=1).tolist(),
                           en.softmax(logits, axis=1).tolist())
 

@@ -149,12 +149,6 @@ class Batch:
         prev[:, 1:] = self.dtaus[:, :-1]
         return np.concatenate([self.inputs, prev[:, :, None]], axis=2)
 
-    def prefix(self, n):
-        """First ``n`` solver steps of the window."""
-        if n > self.steps:
-            raise ValueError(f"prefix {n} longer than window {self.steps}")
-        return Batch(self.inputs[:, :n], self.dtaus[:, :n], self.labels)
-
 
 def make_batch(sequences, s_len, stats, rng):
     """Sample one window per sequence and stack them into a batch."""

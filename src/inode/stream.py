@@ -1,7 +1,7 @@
 """Live streaming inference over a text line protocol.
 
 Inbound lines:
-    ``E <x> <y> <p> <t_us>``   one event (non-negative integers, p in {0,1})
+    ``E <x> <y> <p> <t_us>``   one event (non-negative ASCII integers, p in {0,1})
     ``R``                      reset the hidden state
 
 Each valid event produces exactly one outbound line, in order:
@@ -16,6 +16,7 @@ online session, and the session observes each event or replays a whole
 recording itself.
 """
 
+import re
 import socketserver
 import sys
 import time
@@ -23,6 +24,10 @@ from pathlib import Path
 
 from .checkpoint import model_kind
 from .events import Event, read_manifest
+
+# a field of an event line; a sign or digit that int() would also take
+# ("+3", "1_0", non-ASCII digits) is a parse error, a leading "-" a range one
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def make_session(ckpt):
@@ -51,13 +56,11 @@ class LineSession:
         if fields[0] == "R" and len(fields) == 1:
             self.classifier.reset()
             return None
-        if fields[0] != "E":
-            return "ERR parse"
-        if len(fields) != 5:
+        if fields[0] != "E" or len(fields) != 5 or not all(map(_INTEGER.fullmatch, fields[1:])):
             return "ERR parse"
         try:
             x, y, p, t = (int(v) for v in fields[1:])
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             return "ERR parse"
         if x < 0 or y < 0 or t < 0 or p not in (0, 1):
             return "ERR range"

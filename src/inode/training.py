@@ -47,12 +47,6 @@ class RunConfig:
         d["eval_lengths"] = list(self.eval_lengths)
         return d
 
-    @classmethod
-    def from_json(cls, d):
-        d = dict(d)
-        d["eval_lengths"] = tuple(d.get("eval_lengths", DEFAULT_EVAL_LENGTHS))
-        return cls(**d)
-
 
 @dataclass
 class MetricsRecord:

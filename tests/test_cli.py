@@ -61,6 +61,24 @@ def test_bad_synthetic_task_exits_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--epochs", "0"), ("train", "--rho", "0"), ("train", "--s-len", "0"),
+    ("train", "--hidden", "0"), ("train", "--synth-events", "0"),
+    ("train", "--synth-noise", "2"), ("train", "--seed", "-1"), ("train", "--truncate", "-5"),
+    ("eval", "--repeats", "0"), ("stream", "--listen", "127.0.0.1:99999"),
+    ("stream", "--fast", None),
+])
+def test_bad_numbers_exit_2_with_usage(trained, tmp_path, command, flag, value):
+    args = {"train": [*TINY, "--out", str(tmp_path / "x.ckpt")],
+            "eval": ["--ckpt", str(trained), *TINY_DATA],
+            "stream": ["--ckpt", str(trained)]}[command]
+    proc = run_cli(command, *args, flag, *([value] if value is not None else []), stdin="")
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_training_is_reproducible(tmp_path):
     csvs = []
     for name in ("a", "b"):

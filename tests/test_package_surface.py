@@ -1,11 +1,14 @@
-"""Every public function and class of the package has a caller in the program.
+"""Every public function, class, method and field of the package is used by the program.
 
 A top-level ``def`` or ``class`` in ``src/inode`` counts as used when code
 under ``src/inode``, ``bench/`` or ``demos/`` names it: as a name, an
 attribute, an import, or a dotted string such as the benchmark's tracing
-targets.  Its own definition and the re-exports of ``__init__.py`` do not
-count.  What only tests need is on ``KEEP``, with the reason it stays.
-The files are parsed from their text, so nothing is written to ``bench/``.
+targets.  A public method or annotated field of a public class counts as
+used when that code reads it as an attribute or names it in a dotted
+string; a constructor keyword is not a read.  Its own definition and the
+re-exports of ``__init__.py`` do not count.  What only tests need is on
+``KEEP``, with the reason it stays.  The files are parsed from their text,
+so nothing is written to ``bench/``.
 """
 
 import ast
@@ -31,27 +34,46 @@ KEEP = {
 }
 
 
-def _names_used(path):
-    used = set()
+def _references(path):
+    """``(names, attributes)`` of one file: every name, attribute, import and
+    dotted-string part it holds, and the attributes it reads with the
+    dotted-string parts."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name)
+            names.add(node.name)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and re.fullmatch(r"[\w.]+", node.value)):
-            used.update(node.value.split("."))
-    return used
+            names.update(node.value.split("."))
+            attributes.update(node.value.split("."))
+    return names, attributes
 
 
 def _public_definitions():
+    """``(qualified name, is a member)`` of every public top-level definition,
+    and of every public method and annotated field of a public class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield f"{path.stem}.{node.name}"
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            yield f"{path.stem}.{node.name}", False
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        name = member.name
+                    elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                        name = member.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{name}", True
 
 
 def _program_files():
@@ -61,8 +83,11 @@ def _program_files():
 
 
 def test_every_public_definition_has_a_caller_or_a_reason():
-    used = set().union(*map(_names_used, _program_files()))
+    refs = [_references(path) for path in _program_files()]
+    names = set().union(*(n for n, _ in refs))
+    attributes = set().union(*(a for _, a in refs))
     definitions = list(_public_definitions())
-    assert definitions
-    unused = [name for name in definitions if name.split(".")[1] not in used]
+    assert any(member for _, member in definitions)
+    unused = [name for name, member in definitions
+              if name.rsplit(".", 1)[1] not in (attributes if member else names)]
     assert sorted(unused) == sorted(KEEP)

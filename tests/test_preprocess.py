@@ -166,13 +166,3 @@ def test_features_with_dt_shifts_gaps():
     assert feats.shape == (1, 10, 4)
     assert feats[0, 0, 3] == 0.0
     assert np.array_equal(feats[0, 1:, 3], batch.dtaus[0, :-1])
-
-
-def test_prefix_slices_window():
-    seqs = [_labeled_sequence(50)]
-    batch = make_batch(seqs, 10, TimeStats(dq=100.0), np.random.default_rng(1))
-    head = batch.prefix(4)
-    assert head.steps == 4
-    assert np.array_equal(head.inputs, batch.inputs[:, :4])
-    with pytest.raises(ValueError):
-        batch.prefix(11)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from inode import model
+from inode.checkpoint import load_checkpoint
 from inode.errors import NaNLossError
 from inode.preprocess import TimeStats
 from inode.synth import moving_dot_dataset
@@ -154,10 +155,19 @@ def test_empty_log_rejected():
         metrics_svg([])
 
 
-def test_config_json_round_trip():
-    config = _tiny_config(rho=0.4, grad_clip=2.0)
-    back = RunConfig.from_json(config.to_json())
-    assert back == config
+def test_grad_clip_and_learnable_h0_are_reproducible(tmp_path):
+    train_set, test_set = _tiny_sets()
+    config = _tiny_config(grad_clip=0.05, learnable_h0=True)
+    runs = [train(config, train_set, test_set, out_path=tmp_path / f"{name}.ckpt")
+            for name in ("a", "b")]
+    assert metrics_csv(runs[0].log) == metrics_csv(runs[1].log)
+    for name in runs[0].store.names():
+        assert np.array_equal(runs[0].store[name], runs[1].store[name])
+    unclipped = train(_tiny_config(learnable_h0=True), train_set, test_set)
+    assert not np.array_equal(runs[0].store["fc1_w"], unclipped.store["fc1_w"])
+    ck = load_checkpoint(tmp_path / "a.ckpt")
+    assert ck.config["grad_clip"] == 0.05 and ck.config["learnable_h0"]
+    assert np.any(ck.store["h0"] != 0)
 
 
 def test_train_writes_checkpoints(tmp_path):
@@ -167,7 +177,6 @@ def test_train_writes_checkpoints(tmp_path):
                     best_path=tmp_path / "run.ckpt.best")
     assert out.exists()
     assert (tmp_path / "run.ckpt.best").exists()
-    from inode.checkpoint import load_checkpoint
     ck = load_checkpoint(out)
     assert ck.kind == "inode"
     assert ck.config["epochs"] == 2
