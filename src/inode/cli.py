@@ -19,6 +19,9 @@ from .synth import moving_dot_dataset, num_patterns
 from .training import RunConfig, evaluate, report, train
 
 DEFAULT_LENGTHS = "10,20,30,40,50,60,70,80,90,100"
+# the longest window --s-len and --lengths take: five times the default
+# --truncate; a batch of 100 such windows already holds gigabytes of tape
+MAX_STEPS = 10_000
 
 
 def _synthetic_classes(task):
@@ -47,6 +50,7 @@ def _bounded(convert, ok, what):
 
 
 _count = _bounded(int, lambda v: v >= 1, "a positive integer")
+_steps = _bounded(int, lambda v: 1 <= v <= MAX_STEPS, f"a window length in 1..{MAX_STEPS}")
 _seed = _bounded(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _bounded(float, lambda v: 0 < v < math.inf, "a positive number")
 _fraction = _bounded(float, lambda v: 0 < v <= 1, "a fraction in (0, 1]")
@@ -66,8 +70,8 @@ def _lengths(text):
         out = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad length list {text!r}")
-    if not out or any(v < 1 for v in out):
-        raise argparse.ArgumentTypeError("lengths must be positive")
+    if not out or any(not 1 <= v <= MAX_STEPS for v in out):
+        raise argparse.ArgumentTypeError(f"lengths must be in 1..{MAX_STEPS}")
     return out
 
 
@@ -79,9 +83,11 @@ def _add_data_flags(p):
     p.add_argument("--truncate", type=_count, default=2000,
                    help="keep only the first N events per sequence (default 2000)")
     p.add_argument("--train-count", type=_count, default=2000,
-                   help="synthetic training sequences (default 2000)")
+                   help="synthetic training sequences, rounded down to whole sequences "
+                        "per class (default 2000)")
     p.add_argument("--test-count", type=_count, default=500,
-                   help="synthetic test sequences (default 500)")
+                   help="synthetic test sequences, rounded down to whole sequences "
+                        "per class (default 500)")
     p.add_argument("--synth-events", type=_count, default=400,
                    help="events per synthetic sequence (default 400)")
     p.add_argument("--synth-noise", type=_rate, default=0.05,
@@ -91,10 +97,10 @@ def _add_data_flags(p):
 def _datasets(args, seed):
     if args.synthetic is not None:
         n = args.synthetic
-        train_set = moving_dot_dataset(n, max(1, args.train_count // n), seed=seed,
+        train_set = moving_dot_dataset(n, args.train_count // n, seed=seed,
                                        n_events=args.synth_events, noise_rate=args.synth_noise,
                                        split="train")
-        test_set = moving_dot_dataset(n, max(1, args.test_count // n), seed=seed + 7_000_003,
+        test_set = moving_dot_dataset(n, args.test_count // n, seed=seed + 7_000_003,
                                       n_events=args.synth_events, noise_rate=args.synth_noise,
                                       split="test")
         return train_set, test_set
@@ -122,7 +128,7 @@ def build_parser():
     pt.add_argument("--batch", type=_count, default=100)
     pt.add_argument("--rho", type=_fraction, default=1.0,
                     help="fraction of the training set to use; batch scales with it")
-    pt.add_argument("--s-len", type=_count, default=100)
+    pt.add_argument("--s-len", type=_steps, default=100)
     pt.add_argument("--seed", type=_seed, default=0)
     pt.add_argument("--grad-clip", type=_positive, default=None)
     pt.add_argument("--out", required=True, help="checkpoint output path")
@@ -216,6 +222,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "stream" and args.fast and not args.replay:
         parser.error("--fast needs --replay")
+    for flag in ("train_count", "test_count"):
+        if getattr(args, "synthetic", None) and getattr(args, flag) < args.synthetic:
+            parser.error(f"--{flag.replace('_', '-')} must be at least the class count, "
+                         f"{args.synthetic}")
     command = {"train": cmd_train, "eval": cmd_eval, "stream": cmd_stream}[args.command]
     try:
         return command(args)

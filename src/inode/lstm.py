@@ -227,8 +227,7 @@ class OnlineLstm(OnlineSession):
 
     def observe(self, event):
         dtau = self._gap(event)
-        u = np.concatenate([self._input(event), [dtau]]).reshape(1, INPUT_DIM)
-        self.state = self._cell.step(self.state, u)
+        self.state = self._cell.step(self.state, np.array([(*self._input(event), dtau)]))
         return self._predict(self.state[0])
 
     def replay(self, seq, chunk):

@@ -53,17 +53,83 @@ def _binder(store, tape):
     return lambda name: tape.param(name, store[name])
 
 
-def _f_layers(h, u, store):
-    """f(h, u) for a batch of rows, with the two tanh activations inside it."""
-    hidden = np.tanh(np.concatenate(
-        [h @ store["fc1_w"] + store["fc1_b"], u @ store["fcu_w"] + store["fcu_b"]], axis=1))
-    act = np.tanh(hidden @ store["fc2_w"] + store["fc2_b"])
-    return hidden, act, act @ store["fc3_w"] + store["fc3_b"]
+class _Step:
+    """The fused Euler step of one store, the weights of f bound once.
+
+    Every step runs the same operations in the same order: FC1 and FCu
+    write the two halves of the hidden layer, then tanh, FC2 and FC3 run
+    with in-place bias adds.  A batch gets fresh arrays per step, which
+    its tape keeps for the adjoint.  A single-row step (``single_row=True``,
+    the live path) reuses one set of buffers and fills them with
+    ``np.dot``, which costs less per call than ``np.matmul`` and gives the
+    same bits; it must not run on a tape nor be shared between threads.
+    """
+
+    def __init__(self, store, single_row=False):
+        self.store = store
+        self.w1, self.b1 = store["fc1_w"], store["fc1_b"]
+        self.wu, self.bu = store["fcu_w"], store["fcu_b"]
+        self.w2, self.b2 = store["fc2_w"], store["fc2_b"]
+        self.w3, self.b3 = store["fc3_w"], store["fc3_b"]
+        self._dot = np.dot if single_row else np.matmul
+        self._buffers = self._empty(1) if single_row else None
+
+    def _empty(self, rows):
+        width = self.w1.shape[1]
+        hidden = np.empty((rows, 2 * width))
+        return (hidden, hidden[:, :width], hidden[:, width:], np.empty((rows, width)),
+                np.empty((rows, self.w3.shape[1])))
+
+    def layers(self, h, u):
+        """``(hidden, act, f(h, u))`` for rows of plain arrays: the two
+        tanh activations and the state derivative."""
+        hidden, lo, hi, act, dh = self._buffers or self._empty(len(h))
+        dot = self._dot
+        dot(h, self.w1, out=lo)
+        lo += self.b1
+        dot(u, self.wu, out=hi)
+        hi += self.bu
+        np.tanh(hidden, out=hidden)
+        dot(hidden, self.w2, out=act)
+        act += self.b2
+        np.tanh(act, out=act)
+        dot(act, self.w3, out=dh)
+        dh += self.b3
+        return hidden, act, dh
+
+    def step(self, h, u, dtau, tape=None):
+        """``euler_step`` with this step's weights; a fresh state."""
+        hv = _val(h)
+        hidden, act, dh = self.layers(hv, u)
+        dh *= dtau
+        out = hv + dh
+        if tape is None:
+            return out
+        w1, w2, w3 = self.w1, self.w2, self.w3
+        width = w1.shape[1]
+
+        # the generic ops' adjoints, product for product and in their order,
+        # so the gradients equal those of the unfused tape bit for bit
+        def grad_fn(g):
+            gd = g * dtau
+            gz2 = (gd @ w3.T) * (1.0 - act * act)
+            gz1 = (gz2 @ w2.T) * (1.0 - hidden * hidden)
+            gh, gu = gz1[:, :width], gz1[:, width:]
+            return (g + gh @ w1.T,
+                    hv.T @ gh, gh.sum(axis=0, keepdims=True),
+                    u.T @ gu, gu.sum(axis=0, keepdims=True),
+                    hidden.T @ gz2, gz2.sum(axis=0, keepdims=True),
+                    act.T @ gd, gd.sum(axis=0, keepdims=True))
+
+        p = _binder(self.store, tape)
+        parents = (h, p("fc1_w"), p("fc1_b"), p("fcu_w"), p("fcu_b"),
+                   p("fc2_w"), p("fc2_b"), p("fc3_w"), p("fc3_b"))
+        return tape.record(out, parents, grad_fn)
 
 
 def f_eval(h, u, store):
     """State derivative f(h, u) for a batch of rows of plain arrays."""
-    return _f_layers(h, u, store)[2]
+    return _Step(store).layers(h, u)[2]
 
 
 def euler_step(h, u, dtau, store, tape=None, dynamics=None):
@@ -76,33 +142,9 @@ def euler_step(h, u, dtau, store, tape=None, dynamics=None):
     h, u, dtau and the two tanh activations, so nothing else of the step
     stays alive until backward.
     """
-    if dynamics is not None:
-        return en.add(h, en.mul(dtau, dynamics(h, u, store, tape)))
-    hv = _val(h)
-    hidden, act, dh = _f_layers(hv, u, store)
-    out = hv + dtau * dh
-    if tape is None:
-        return out
-    w1, w2, w3 = store["fc1_w"], store["fc2_w"], store["fc3_w"]
-    width = w1.shape[1]
-
-    # the generic ops' adjoints, product for product and in their order,
-    # so the gradients equal those of the unfused tape bit for bit
-    def grad_fn(g):
-        gd = g * dtau
-        gz2 = (gd @ w3.T) * (1.0 - act * act)
-        gz1 = (gz2 @ w2.T) * (1.0 - hidden * hidden)
-        gh, gu = gz1[:, :width], gz1[:, width:]
-        return (g + gh @ w1.T,
-                hv.T @ gh, gh.sum(axis=0, keepdims=True),
-                u.T @ gu, gu.sum(axis=0, keepdims=True),
-                hidden.T @ gz2, gz2.sum(axis=0, keepdims=True),
-                act.T @ gd, gd.sum(axis=0, keepdims=True))
-
-    p = _binder(store, tape)
-    parents = (h, p("fc1_w"), p("fc1_b"), p("fcu_w"), p("fcu_b"),
-               p("fc2_w"), p("fc2_b"), p("fc3_w"), p("fc3_b"))
-    return tape.record(out, parents, grad_fn)
+    if dynamics is None:
+        return _Step(store).step(h, u, dtau, tape)
+    return en.add(h, en.mul(dtau, dynamics(h, u, store, tape)))
 
 
 def classify(h, store, tape=None):
@@ -165,8 +207,12 @@ def forward(batch, store, dynamics=None, tape=None):
     else:
         h = np.zeros((b, n)) if tape is None else tape.const(np.zeros((b, n)))
 
+    # the fused step binds its weights once for the window
+    advance = (_Step(store).step if dynamics is None
+               else lambda h, u, dtau, tape: euler_step(h, u, dtau, store, tape, dynamics))
+
     def step(h, i):
-        return euler_step(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], store, tape, dynamics)
+        return advance(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], tape)
 
     return unroll(batch, store, h, step, tape)
 
@@ -187,12 +233,18 @@ class OnlineSession:
     counted in ``regressions``, an event outside the sensor is clamped to
     its edge and counted in ``clamped``.  Each warns once per session with
     one fixed text; ``reset`` zeroes both counts.
+
+    The per-event helpers work on Python scalars where the batched code
+    works on arrays, with the same IEEE operations in the same order, so
+    each gap, feature and posterior equals its batched counterpart bit for
+    bit.
     """
 
     def __init__(self, store, stats, sensor_dims):
         self.store = store
         self._wc, self._bc = store["fcc_w"], store["fcc_b"]
         self.stats = stats
+        self._dq, self._dmax = float(stats.dq), float(stats.dmax)
         self.sensor_dims = sensor_dims
         self.reset()
 
@@ -202,15 +254,17 @@ class OnlineSession:
         self.clamped = 0
 
     def _gap(self, event):
-        """Normalized gap since the previous event, 0 for the first one."""
+        """Normalized gap since the previous event, 0 for the first one:
+        ``normalize_dt`` on a float."""
         dt = 0 if self._last_t is None else event.t - self._last_t
         if dt < 0:
             self.regressions += 1
             if self.regressions == 1:
                 warnings.warn(REGRESSION_WARNING, stacklevel=3)
             dt = 0
+        gap = min(dt / self._dq, self._dmax)  # before the state changes, as it may raise
         self._last_t = event.t
-        return normalize_dt(dt, self.stats)
+        return gap
 
     def _input(self, event):
         """Features (x, y, p) of the event, its coordinates clamped into the sensor."""
@@ -222,10 +276,14 @@ class OnlineSession:
         return u
 
     def _predict(self, h):
-        """(class, posterior row) of a [1 x state] row; ties go to the lowest class."""
+        """(class, fresh posterior row) of a [1 x state] row; ties go to the
+        lowest class.  The softmax is ``engine.softmax``'s on the one row."""
         z = h @ self._wc
         z += self._bc
-        return int(np.argmax(z[0])), en.softmax(z, axis=1)[0]
+        z = z[0]
+        e = np.exp(z - z.max())
+        e /= e.sum()
+        return int(z.argmax()), e
 
 
 class OnlineClassifier(OnlineSession):
@@ -236,7 +294,13 @@ class OnlineClassifier(OnlineSession):
     clipped at dmax, so an arbitrarily long silence costs one capped
     step), then emits a read-out and holds the new input.  Run over the
     S+1 events of a sampled window this reproduces ``forward`` exactly.
+    A session binds its own single-row step once, so sessions on one
+    store may run in parallel threads.
     """
+
+    def __init__(self, store, stats, sensor_dims):
+        self._step = _Step(store, single_row=True)
+        super().__init__(store, stats, sensor_dims)
 
     def reset(self):
         super().reset()
@@ -248,9 +312,8 @@ class OnlineClassifier(OnlineSession):
         """Consume one event; returns (predicted class, posterior row)."""
         dtau = self._gap(event)
         if self._held_u is not None:
-            self.state = euler_step(self.state, self._held_u, np.asarray(dtau).reshape(1, 1),
-                                    self.store)
-        self._held_u = self._input(event).reshape(1, FEATURES)
+            self.state = self._step.step(self.state, self._held_u, dtau)
+        self._held_u = np.array([self._input(event)])
         return self._predict(self.state)
 
     def replay(self, seq, chunk):

@@ -68,26 +68,33 @@ def normalize_dt(dt, stats):
     return np.minimum(np.asarray(dt, dtype=np.float64) / stats.dq, stats.dmax)
 
 
+def _unit(v, n):
+    """Pixel coordinates on an axis of ``n > 1`` pixels mapped to [-1, 1]:
+    the same float64 operations on an array or on one Python number."""
+    return 2.0 * v / (n - 1.0) - 1.0
+
+
 def normalize_coords(xs, ys, sensor_dims):
     """Map pixel coordinates to [-1, 1] (endpoints land exactly on +-1)."""
     w, h = sensor_dims
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    xn = 2.0 * xs / (w - 1.0) - 1.0 if w > 1 else np.zeros_like(xs)
-    yn = 2.0 * ys / (h - 1.0) - 1.0 if h > 1 else np.zeros_like(ys)
+    xn = _unit(xs, w) if w > 1 else np.zeros_like(xs)
+    yn = _unit(ys, h) if h > 1 else np.zeros_like(ys)
     return xn, yn
 
 
 def clamped_input(event, sensor_dims):
-    """Feature vector (x_norm, y_norm, p_signed) for one event, and whether
-    its coordinates were outside the sensor and clamped to its edge."""
+    """Features (x_norm, y_norm, p_signed) of one event as Python floats,
+    equal to its row of ``normalize_sequence`` bit for bit, and whether its
+    coordinates were outside the sensor and clamped to its edge."""
     w, h = sensor_dims
     x, y = event.x, event.y
     clamped = not (0 <= x < w and 0 <= y < h)
     if clamped:
         x, y = min(max(x, 0), w - 1), min(max(y, 0), h - 1)
-    xn, yn = normalize_coords(x, y, sensor_dims)
-    return np.array([xn, yn, 2.0 * event.p - 1.0]), clamped
+    return (_unit(x, w) if w > 1 else 0.0, _unit(y, h) if h > 1 else 0.0,
+            2.0 * event.p - 1.0), clamped
 
 
 def normalize_sequence(seq):

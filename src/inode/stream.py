@@ -7,7 +7,10 @@ Inbound lines:
 Each valid event produces exactly one outbound line, in order:
     ``<t_us> <argmax> <p_0> ... <p_{C-1}>``
 
-Malformed input produces ``ERR <reason>`` and leaves the state untouched.
+Malformed input produces ``ERR <reason>`` and leaves the state untouched:
+``ERR parse`` for a line that is not one of the above, ``ERR range`` for a
+negative field, a polarity other than 0 or 1, or a timestamp outside the
+int64 range of the AER codecs.
 The protocol runs over stdin/stdout or a TCP socket (one isolated session
 per connection, all sharing the read-only parameter store), and binary
 AER files can be replayed through it, paced by their timestamps or at
@@ -28,6 +31,8 @@ from .events import Event, read_manifest
 # a field of an event line; a sign or digit that int() would also take
 # ("+3", "1_0", non-ASCII digits) is a parse error, a leading "-" a range one
 _INTEGER = re.compile(r"-?[0-9]+")
+# one past the largest timestamp an AER codec decodes
+_T_LIMIT = 1 << 63
 
 
 def make_session(ckpt):
@@ -62,7 +67,7 @@ class LineSession:
             x, y, p, t = (int(v) for v in fields[1:])
         except ValueError:  # more digits than int() converts
             return "ERR parse"
-        if x < 0 or y < 0 or t < 0 or p not in (0, 1):
+        if x < 0 or y < 0 or p not in (0, 1) or not 0 <= t < _T_LIMIT:
             return "ERR range"
         pred, posterior = self.classifier.observe(Event(x, y, p, t))
         return format_prediction(t, pred, posterior)

@@ -10,8 +10,9 @@ import pytest
 
 import inode
 from helpers import record_starts
-from inode.checkpoint import META_CONFIG
+from inode.checkpoint import META_CONFIG, load_checkpoint
 from inode.params import ParamStore, load_records, save_store
+from inode.stream import LineSession, make_session
 
 TINY_DATA = ["--synthetic", "movedot2", "--train-count", "24", "--test-count", "12",
              "--synth-events", "120"]
@@ -66,6 +67,9 @@ def test_bad_synthetic_task_exits_2():
     ("train", "--hidden", "0"), ("train", "--synth-events", "0"),
     ("train", "--synth-noise", "2"), ("train", "--seed", "-1"), ("train", "--truncate", "-5"),
     ("eval", "--repeats", "0"), ("stream", "--listen", "127.0.0.1:99999"),
+    ("train", "--s-len", "10001"), ("train", "--s-len", str(10 ** 18)),
+    ("eval", "--lengths", "10,10001"), ("train", "--train-count", "1"),
+    ("eval", "--test-count", "1"),
     ("stream", "--fast", None),
 ])
 def test_bad_numbers_exit_2_with_usage(trained, tmp_path, command, flag, value):
@@ -116,15 +120,19 @@ def test_eval_missing_checkpoint_exits_2(tmp_path):
 
 
 def test_stream_stdin_round_trip(trained):
-    lines = "E 3 7 1 1000\nE 5 5 0 1100\nR\nE 3 7 1 1000\nE a b\n"
-    proc = run_cli("stream", "--ckpt", str(trained), stdin=lines)
+    lines = ["E 3 7 1 1000", "E 5 5 0 " + "9" * 400, "E 5 5 0 1100", "R", "E 3 7 1 1000", "E a b"]
+    proc = run_cli("stream", "--ckpt", str(trained), stdin="\n".join(lines) + "\n")
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.strip().split("\n")
-    assert len(out) == 4
+    assert len(out) == 5
     assert out[0].split()[0] == "1000"
-    assert out[3] == "ERR parse"
+    assert out[1] == "ERR range"
+    assert out[4] == "ERR parse"
     # reset semantics: line after R equals the first line
-    assert out[2] == out[0]
+    assert out[3] == out[0]
+    # the out-of-range line left the state as a session that never saw it
+    session = LineSession(make_session(load_checkpoint(trained)))
+    assert [session.handle(lines[0]), session.handle(lines[2])] == [out[0], out[2]]
 
 
 def test_stream_missing_checkpoint_exits_2(tmp_path):

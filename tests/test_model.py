@@ -261,6 +261,21 @@ def test_online_matches_offline_bitwise():
         assert np.array_equal(last[1], en.softmax(res.logits[0, -1:], axis=1)[0])
 
 
+@pytest.mark.parametrize("dq, dmax", [(100.0, 1.0), (37.5, 2.5), (1234.5, 0.25),
+                                     (3.0, math.inf)])
+def test_session_gap_equals_normalize_dt_bitwise(dq, dmax):
+    from inode.events import Event
+    stats = TimeStats(dq=dq, dmax=dmax)
+    clf = model.OnlineClassifier(model.init_params(np.random.default_rng(53), 2), stats, (34, 34))
+    cap = int(dq * min(dmax, 1e6))
+    for dt in (0, 1, int(dq) - 1, int(dq), cap, cap + 1, 1000 * cap + 7, 2 ** 53 + 1, 2 ** 63 - 1):
+        clf.reset()
+        assert clf._gap(Event(0, 0, 0, 0)) == 0.0
+        gap = clf._gap(Event(0, 0, 0, dt))
+        assert type(gap) is float
+        assert np.float64(gap).tobytes() == normalize_dt(dt, stats).tobytes(), dt
+
+
 def test_online_posterior_sums_to_one():
     stats = TimeStats(dq=100.0)
     store = model.init_params(np.random.default_rng(61), n_classes=5)

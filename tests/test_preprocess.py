@@ -7,6 +7,7 @@ from inode.preprocess import (
     TimeStats, clamped_input, compute_dq, make_batch, normalize_dt, normalize_sequence,
     sample_subsequence,
 )
+from inode.synth import moving_dot, scale_coordinates
 
 
 def _seq_from_gaps(gaps, label=0):
@@ -95,6 +96,26 @@ def test_clamped_input_clamps_to_the_edge():
     v, clamped = clamped_input(Event(99, 2, 1, 0), (34, 34))
     assert clamped
     assert np.array_equal(v, clamped_input(Event(33, 2, 1, 0), (34, 34))[0])
+
+
+# a sensor of the kind scale_coordinates makes: 3 * (34 - 1) + 1 pixels a side
+FINE_SENSOR = scale_coordinates(moving_dot(0, seed=0, n_events=10), 3).sensor_dims
+
+
+@pytest.mark.parametrize("dims", [(34, 34), (1, 5), FINE_SENSOR], ids=["34x34", "1x5", "fine"])
+def test_clamped_features_equal_normalize_sequence_bitwise(dims):
+    w, h = dims
+    xs, ys = (a.ravel() for a in np.meshgrid(np.arange(w), np.arange(h), indexing="ij"))
+    n = len(xs)
+    seq = EventSequence(xs, ys, np.arange(n) % 2, np.arange(n), sensor_dims=dims)
+    rows = [clamped_input(event, dims) for event in seq]
+    assert not any(clamped for _, clamped in rows)
+    assert all(type(v) is float for features, _ in rows for v in features)
+    assert np.array_equal(np.array([features for features, _ in rows]), normalize_sequence(seq))
+    # outside the sensor: the features of the nearest edge pixel
+    for x, y in ((w, 0), (w + 7, h - 1), (0, h), (3 * w, 5 * h), (10 ** 400, 1)):
+        edge = Event(min(x, w - 1), min(y, h - 1), 1, 0)
+        assert clamped_input(Event(x, y, 1, 0), dims) == (clamped_input(edge, dims)[0], True)
 
 
 def _labeled_sequence(n, label=1, gap=100):

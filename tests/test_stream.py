@@ -56,10 +56,15 @@ def test_malformed_lines_get_err_and_leave_state_alone():
     # only ASCII digits: no sign, underscore or other script, nor more than int() converts
     for line in ("E 1_0 2 1 1_000", "E +3 2 1 10", "E \u0663 2 1 20", "E 1 2 1 " + "9" * 5000):
         assert session.handle(line) == "ERR parse"
+    # timestamps past the int64 range of the AER codecs
+    for t in (2 ** 63, 2 ** 64 + 5, 10 ** 400 - 1):
+        assert session.handle(f"E 3 4 0 {t}") == "ERR range"
     # identical second event sequence on a fresh session proves state untouched
     fresh = _session(ckpt)
     fresh.handle("E 1 2 1 10")
     assert session.handle("E 5 5 0 30") == fresh.handle("E 5 5 0 30")
+    last = f"E 5 5 0 {2 ** 63 - 1}"
+    assert session.handle(last) == fresh.handle(last)
 
 
 def test_blank_lines_are_ignored():
@@ -132,16 +137,18 @@ def test_tcp_server_round_trip_and_isolation():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
+        def ask(fh, lines):
+            replies = []
+            for ln in lines:
+                fh.write(ln + "\n")
+                fh.flush()
+                if ln.split() and ln.split()[0] == "E":
+                    replies.append(fh.readline().strip())
+            return replies
+
         def dialog(lines):
             with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-                fh = sock.makefile("rw", newline="\n")
-                replies = []
-                for ln in lines:
-                    fh.write(ln + "\n")
-                    fh.flush()
-                    if ln.split() and ln.split()[0] == "E":
-                        replies.append(fh.readline().strip())
-                return replies
+                return ask(sock.makefile("rw", newline="\n"), lines)
 
         local = _session(ckpt)
         lines = ["E 3 7 1 1000", "E 5 5 0 1100", "R", "E 3 7 1 1000"]
@@ -151,6 +158,20 @@ def test_tcp_server_round_trip_and_isolation():
         assert got == want
         # a second connection starts from a fresh state
         assert dialog(["E 3 7 1 1000"]) == [want[0]]
+
+        # a timestamp past int64 on one open connection gets ERR range, and
+        # both connections go on answering as sessions that never saw it
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as a, \
+                socket.create_connection(("127.0.0.1", port), timeout=5) as b:
+            fa, fb = (sock.makefile("rw", newline="\n") for sock in (a, b))
+            assert ask(fa, lines[:2]) == want[:2]
+            assert ask(fa, ["E 1 1 1 " + "9" * 400]) == ["ERR range"]
+            assert ask(fb, lines[:2]) == want[:2]
+            tail = ["E 8 2 0 1250", "E 30 31 1 1900"]
+            mirror = _session(ckpt)
+            want_tail = [mirror.handle(ln) for ln in lines[:2] + tail][2:]
+            assert ask(fa, tail) == want_tail
+            assert ask(fb, tail) == want_tail
     finally:
         server.shutdown()
         server.server_close()
