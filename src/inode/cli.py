@@ -94,7 +94,10 @@ def _add_data_flags(p):
                    help="fraction of spurious synthetic events (default 0.05)")
 
 
-def _datasets(args, seed):
+def _datasets(args, seed, split_seed):
+    """(train, test) sets.  ``seed`` draws synthetic ones; ``split_seed``
+    splits a --data root without train/ and test/ directories, and None
+    there is an error."""
     if args.synthetic is not None:
         n = args.synthetic
         train_set = moving_dot_dataset(n, args.train_count // n, seed=seed,
@@ -109,7 +112,10 @@ def _datasets(args, seed):
         return (load_dataset(root / "train", truncate_to=args.truncate, split="train"),
                 load_dataset(root / "test", truncate_to=args.truncate, split="test"))
     full = load_dataset(root, truncate_to=args.truncate)
-    return split_dataset(full, 0.9, seed)
+    if split_seed is None:
+        raise DatasetError(f"{root} has no train/ and test/ directories, and the checkpoint "
+                           "records no training seed to split it as training did")
+    return split_dataset(full, 0.9, split_seed)
 
 
 def build_parser():
@@ -155,7 +161,7 @@ def build_parser():
 
 
 def cmd_train(args):
-    train_set, test_set = _datasets(args, args.seed)
+    train_set, test_set = _datasets(args, args.seed, args.seed)
     hidden = args.hidden if args.hidden is not None else MODEL_KINDS[args.model].hidden
     config = RunConfig(
         model=args.model, hidden=hidden, n_classes=train_set.class_count,
@@ -168,8 +174,8 @@ def cmd_train(args):
     def progress(rec):
         top = rec.accuracies[max(rec.accuracies)]
         print(f"epoch {rec.epoch:4d}  train_loss {rec.train_loss:.4f}  "
-              f"test_loss {rec.test_loss:.4f}  acc@{max(rec.accuracies)} {top:.3f}",
-              flush=True)
+              f"test_loss {rec.test_loss:.4f}  acc@{max(rec.accuracies)} {top:.3f}  "
+              f"eval {rec.eval_seconds:.2f}s", flush=True)
 
     try:
         trainer = train(config, train_set, test_set, out_path=out,
@@ -185,7 +191,10 @@ def cmd_train(args):
 def cmd_eval(args):
     path = Path(args.ckpt)
     ckpt = load_checkpoint(path)
-    _, test_set = _datasets(args, args.seed)
+    # the held-out part of a split --data root is the one training left out
+    seed = ckpt.config.get("seed") if isinstance(ckpt.config, dict) else None
+    valid = type(seed) is int and seed >= 0
+    _, test_set = _datasets(args, args.seed, seed if valid else None)
     table = evaluate(ckpt.store, ckpt.stats, ckpt.kind, test_set, args.lengths,
                      seed=args.seed, repeats=args.repeats)
     for n in args.lengths:

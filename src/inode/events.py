@@ -280,10 +280,14 @@ def subset_fraction(dataset, rho, seed):
 
 
 def split_dataset(dataset, train_fraction, seed):
-    """Seeded shuffle, then split into (train, test) datasets."""
+    """Seeded shuffle, then split into (train, test) datasets; DatasetError
+    when the test part would be empty."""
     n = len(dataset)
     order = np.random.default_rng([int(seed), 0xA7]).permutation(n)
     cut = math.ceil(round(train_fraction * n, 9))
+    if cut >= n:
+        raise DatasetError(f"a {train_fraction} split of {n} sequences holds none out "
+                           "for testing")
     train = [dataset[i] for i in order[:cut]]
     test = [dataset[i] for i in order[cut:]]
     return (

@@ -166,12 +166,14 @@ def _zero_state(b, hidden, tape):
     return tape.const(h), tape.const(c)
 
 
-def forward(batch, store, tape=None, cell=lstm_step):
+def forward(batch, store, tape=None, cell=lstm_step, *, final_only=False):
     """The window's pass, bidirectional when the store is (unidirectional:
-    a read-out and loss after every step).  ``cell`` may replace the fused
-    cell for tests, as a function with the signature of ``lstm_step``."""
+    a read-out and loss after every step, or with ``final_only`` one
+    read-out of the final state and no loss, see ``model.unroll``).
+    ``cell`` may replace the fused cell for tests, as a function with the
+    signature of ``lstm_step``."""
     if is_bidirectional(store):
-        return forward_bidirectional(batch, store, tape, cell)
+        return forward_bidirectional(batch, store, tape, cell, final_only=final_only)
     feats = batch.features_with_dt()
     cell = _window_cell(cell, store, "fwd", batch.size)
 
@@ -179,11 +181,12 @@ def forward(batch, store, tape=None, cell=lstm_step):
         return cell(state, feats[:, i, :], tape)
 
     return unroll(batch, store, _zero_state(batch.size, hidden_dim_of(store), tape), step,
-                  tape, hidden=lambda state: state[0])
+                  tape, hidden=lambda state: state[0], final_only=final_only)
 
 
-def forward_bidirectional(batch, store, tape=None, cell=lstm_step):
-    """Both directions over the whole window; classify the joined final states."""
+def forward_bidirectional(batch, store, tape=None, cell=lstm_step, final_only=False):
+    """Both directions over the whole window; classify the joined final
+    states (no loss with ``final_only``)."""
     feats = batch.features_with_dt()
     b, s = batch.size, batch.steps
     hidden = hidden_dim_of(store)
@@ -195,7 +198,7 @@ def forward_bidirectional(batch, store, tape=None, cell=lstm_step):
         bwd = bwd_cell(bwd, feats[:, s - 1 - i, :], tape)
     joined = en.concat(fwd[0], bwd[0])
     z = classify(joined, store, tape)
-    with_loss = bool(np.all(batch.labels >= 0))
+    with_loss = not final_only and bool(np.all(batch.labels >= 0))
     loss_node = None
     if with_loss:
         loss_node, _ = en.softmax_cross_entropy(z, batch.labels)
@@ -235,25 +238,27 @@ class OnlineLstm(OnlineSession):
         recording, equal to a fresh session's ``observe`` bit for bit: one
         iterable of them per ``chunk`` events.
 
-        The feature and gap columns are built for the whole recording
-        before this returns; each event then runs the step and the
-        read-out product into its row of a chunk of logits, and the bias,
-        arg-max and softmax run once per chunk.  The session's own state
-        is left as it is.
+        Each chunk builds the feature and gap columns of its own events, so
+        memory grows with ``chunk``, not with the recording; each event
+        then runs the step and the read-out product into its row of the
+        chunk's logits, and the bias, arg-max and softmax run once per
+        chunk.  The session's own state is left as it is.
         """
-        feats = np.zeros((len(seq), INPUT_DIM))
-        feats[:, :3] = normalize_sequence(seq)
-        feats[1:, 3] = normalize_dt(np.maximum(np.diff(seq.ts), 0), self.stats)
-        wc, bc = self._wc, self._bc
+        stats, wc, bc = self.stats, self._wc, self._bc
+        feats = np.zeros((chunk, INPUT_DIM))
         logits = np.empty((chunk, wc.shape[1]))
         step = self._cell.step
 
         def chunks(state):
             for lo in range(0, len(seq), chunk):
                 hi = min(lo + chunk, len(seq))
-                for i in range(lo, hi):
+                lead = int(lo == 0)  # the recording's first event keeps a zero gap
+                feats[:hi - lo, :3] = normalize_sequence(seq, lo, hi)
+                feats[lead:hi - lo, 3] = normalize_dt(
+                    np.maximum(np.diff(seq.ts[lo - 1 + lead:hi]), 0), stats)
+                for i in range(hi - lo):
                     state = step(state, feats[i:i + 1])
-                    np.dot(state[0], wc, out=logits[i - lo:i - lo + 1])
+                    np.dot(state[0], wc, out=logits[i:i + 1])
                 z = logits[:hi - lo]
                 z += bc
                 yield zip(seq.ts[lo:hi].tolist(), np.argmax(z, axis=1).tolist(),

@@ -97,10 +97,16 @@ def clamped_input(event, sensor_dims):
             2.0 * event.p - 1.0), clamped
 
 
-def normalize_sequence(seq):
-    """[M x 3] feature matrix for a whole sequence (vectorized)."""
-    xn, yn = normalize_coords(seq.xs, seq.ys, seq.sensor_dims)
-    return np.stack([xn, yn, 2.0 * seq.ps - 1.0], axis=1)
+def normalize_events(xs, ys, ps, sensor_dims):
+    """Features (x_norm, y_norm, p_signed) of integer event columns of one
+    common shape, stacked on a new last axis."""
+    xn, yn = normalize_coords(xs, ys, sensor_dims)
+    return np.stack([xn, yn, 2.0 * ps - 1.0], axis=-1)
+
+
+def normalize_sequence(seq, lo=0, hi=None):
+    """[M x 3] feature matrix of a sequence's events ``lo:hi`` (vectorized)."""
+    return normalize_events(seq.xs[lo:hi], seq.ys[lo:hi], seq.ps[lo:hi], seq.sensor_dims)
 
 
 def sample_subsequence(seq, s_len, rng, stats):
@@ -158,11 +164,33 @@ class Batch:
 
 
 def make_batch(sequences, s_len, stats, rng):
-    """Sample one window per sequence and stack them into a batch."""
-    inputs = np.empty((len(sequences), s_len, 3))
-    dtaus = np.empty((len(sequences), s_len))
-    labels = np.empty(len(sequences), dtype=np.int64)
+    """Sample one window per sequence and stack them into a batch.
+
+    The loop over the sequences draws each window's offset in sequence
+    order and takes its raw slices; the windows of every sequence with at
+    least S+1 events on the first sequence's sensor are then normalized as
+    one [B x S] block.  The other sequences, padded or on another sensor,
+    go through ``sample_subsequence`` in their turn.  Every value and draw
+    equals that of one ``sample_subsequence`` per sequence.
+    """
+    size = len(sequences)
+    inputs = np.empty((size, s_len, 3))
+    dtaus = np.empty((size, s_len))
+    labels = np.empty(size, dtype=np.int64)
+    dims = sequences[0].sensor_dims if sequences else None
+    rows, windows = [], []
     for i, seq in enumerate(sequences):
-        inputs[i], dtaus[i] = sample_subsequence(seq, s_len, rng, stats)
         labels[i] = -1 if seq.label is None else seq.label
+        if len(seq) > s_len and seq.sensor_dims == dims:
+            start = int(rng.integers(0, len(seq) - s_len))
+            rows.append(i)
+            windows.append((seq, slice(start, start + s_len)))
+        else:
+            inputs[i], dtaus[i] = sample_subsequence(seq, s_len, rng, stats)
+    if rows:
+        inputs[rows] = normalize_events(np.array([seq.xs[w] for seq, w in windows]),
+                                        np.array([seq.ys[w] for seq, w in windows]),
+                                        np.array([seq.ps[w] for seq, w in windows]), dims)
+        ts = np.array([seq.ts[w.start:w.stop + 1] for seq, w in windows])
+        dtaus[rows] = normalize_dt(np.diff(ts, axis=1), stats)
     return Batch(inputs, dtaus, labels)

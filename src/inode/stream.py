@@ -138,10 +138,11 @@ def fast_replay(seq, ckpt, outfile, chunk=4096):
 
     The checkpoint's session replays the whole recording (see
     ``OnlineClassifier.replay`` and ``OnlineLstm.replay``), which must be
-    on the checkpoint's sensor.
-    Returns (events, seconds): the seconds cover the work done chunk by
-    chunk, the recursion, the read-outs and the formatting, and not what
-    the session prepares for the whole recording before its first chunk.
+    on the checkpoint's sensor, ``chunk`` events at a time, so memory
+    grows with ``chunk``, not with the recording.
+    Returns (events, seconds): the seconds cover all the work done chunk
+    by chunk (the features, the recursion, the read-outs and the
+    formatting), and not the session's set-up.
     """
     if seq.sensor_dims != tuple(ckpt.sensor_dims):
         raise ValueError(f"recording from a {seq.sensor_dims} sensor, checkpoint for "

@@ -199,3 +199,53 @@ def test_stream_replay_fast(trained, tmp_path):
     assert "events/s" in proc.stderr
     ts = [int(ln.split()[0]) for ln in out]
     assert ts == list(np.asarray(seq.ts))
+
+
+def _data_root(root, per_class):
+    """``root/<class>/<sample>.bin`` of moving-dot recordings, no train/ or test/."""
+    from inode.events import write_aer
+    from inode.synth import moving_dot
+    for c, count in enumerate(per_class):
+        (root / f"c{c}").mkdir(parents=True)
+        for k in range(count):
+            seq = moving_dot(c, seed=100 * c + k, n_events=40)
+            (root / f"c{c}" / f"s{k:02d}.bin").write_bytes(write_aer(seq))
+    return root
+
+
+def test_eval_of_a_split_data_root_scores_the_items_training_held_out(tmp_path, monkeypatch,
+                                                                         capsys):
+    from inode import cli
+    from inode.checkpoint import save_checkpoint
+    from inode.events import load_dataset, split_dataset
+    root = _data_root(tmp_path / "data", [10, 10])
+    ckpt = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", str(root), "--s-len", "10", "--batch", "6",
+                     "--hidden", "4", "--epochs", "1", "--seed", "0", "--out", str(ckpt)]) == 0
+    scored = []
+    monkeypatch.setattr(cli, "evaluate", lambda store, stats, kind, test_set, lengths, **kw:
+                        scored.append(test_set) or {n: 0.0 for n in lengths})
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--lengths", "5",
+                     "--seed", "1", "--json-out", str(tmp_path / "t.json")]) == 0
+    train_set, test_set = split_dataset(load_dataset(root), 0.9, 0)
+    key = lambda seqs: sorted(seq.ts.tobytes() + seq.xs.tobytes() for seq in seqs)  # noqa: E731
+    assert key(scored[0]) == key(test_set)
+    assert not set(key(scored[0])) & set(key(train_set))
+
+    loaded = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, loaded.store, loaded.stats, kind=loaded.kind,
+                    n_classes=loaded.n_classes, state_dim=loaded.state_dim,
+                    features=loaded.features, sensor_dims=loaded.sensor_dims)
+    capsys.readouterr()
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(root)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert len(scored) == 1
+
+
+def test_a_split_without_held_out_items_exits_2(trained, tmp_path):
+    root = _data_root(tmp_path / "data", [3, 2])  # ceil(0.9 * 5) = 5 for training
+    for proc in (run_cli("train", "--data", str(root), "--s-len", "10", "--epochs", "1",
+                         "--out", str(tmp_path / "m.ckpt")),
+                 run_cli("eval", "--ckpt", str(trained), "--data", str(root))):
+        _assert_clean_exit_2(proc)
+        assert "holds none out" in proc.stderr

@@ -4,7 +4,7 @@ training, checkpoint and the streaming endpoint."""
 import numpy as np
 import pytest
 
-from inode import model, stream
+from inode import lstm, model, stream
 from inode.checkpoint import META_MODEL, MODEL_KINDS, load_checkpoint, save_checkpoint
 from inode.params import load_records
 from inode.preprocess import TimeStats, make_batch
@@ -55,3 +55,28 @@ def test_unknown_model_kind_raises_value_error(tmp_path):
     with pytest.raises(ValueError, match="unknown model"):
         save_checkpoint(tmp_path / "m.ckpt", store, TimeStats(dq=1.0), kind="gru", n_classes=2,
                         state_dim=30, features=3, sensor_dims=(34, 34))
+
+
+def _final_only_store(kind, rng):
+    if kind == "bilstm":
+        return lstm.init_params(rng, 3, 5, bidirectional=True)
+    if kind == "lstm":
+        return lstm.init_params(rng, 3, 5)
+    store = model.init_params(rng, 3, state_dim=4, width=6, learnable_h0=kind == "inode_h0")
+    if "h0" in store:  # a start state away from the zeros of a fresh store
+        store["h0"] = rng.uniform(-0.5, 0.5, store["h0"].shape)
+    return store
+
+
+@pytest.mark.parametrize("kind", ["inode", "inode_h0", "lstm", "bilstm"])
+def test_final_only_forward_equals_the_last_read_out_bitwise(kind):
+    rng = np.random.default_rng(8)
+    store = _final_only_store(kind, rng)
+    batch = make_batch(moving_dot_dataset(3, 2, seed=4, n_events=50).sequences, 12,
+                       TimeStats(dq=90.0), rng)
+    module = lstm if "lstm" in kind else model
+    full = module.forward(batch, store)
+    final = module.forward(batch, store, final_only=True)
+    assert final.logits.shape == (6, 1, 3)
+    assert np.array_equal(final.logits[:, 0, :], full.logits[:, -1, :])
+    assert final.loss_node is None and full.loss_node is not None

@@ -187,3 +187,28 @@ def test_features_with_dt_shifts_gaps():
     assert feats.shape == (1, 10, 4)
     assert feats[0, 0, 3] == 0.0
     assert np.array_equal(feats[0, 1:, 3], batch.dtaus[0, :-1])
+
+
+def _per_row_batch(sequences, s_len, stats, rng):
+    """``make_batch`` spelled out: one ``sample_subsequence`` per row."""
+    rows = [sample_subsequence(seq, s_len, rng, stats) for seq in sequences]
+    labels = [-1 if seq.label is None else seq.label for seq in sequences]
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), np.array(labels)
+
+
+@pytest.mark.parametrize("s_len", [10, 55, 100, 399, 400, 450])
+def test_make_batch_equals_per_row_sampling_bitwise(s_len):
+    long = [moving_dot(k % 4, seed=k, n_events=400) for k in range(4)]
+    unlabeled = EventSequence(long[1].xs, long[1].ys, long[1].ps, long[1].ts)
+    wide = moving_dot(2, seed=9, n_events=400, sensor_dims=(64, 48))
+    rows = [long[0], long[1].truncated(s_len + 1), long[2].truncated(s_len), unlabeled,
+            wide, long[3].truncated(max(s_len // 2, 1)), wide.truncated(s_len + 1), long[3]]
+    stats = TimeStats(dq=77.0, dmax=1.5)
+    for sequences in (rows, rows[::-1]):  # each sensor leads once
+        rng, ref_rng = np.random.default_rng(s_len), np.random.default_rng(s_len)
+        batch = make_batch(sequences, s_len, stats, rng)
+        inputs, dtaus, labels = _per_row_batch(sequences, s_len, stats, ref_rng)
+        assert np.array_equal(batch.inputs, inputs)
+        assert np.array_equal(batch.dtaus, dtaus)
+        assert np.array_equal(batch.labels, labels)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -330,3 +330,44 @@ def test_out_of_sensor_events_warn_once_and_are_counted(kind):
     assert session.classifier.clamped == 200
     session.handle("R")
     assert session.classifier.clamped == 0
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm"])
+def test_fast_replay_text_does_not_depend_on_the_chunk_size(kind):
+    ckpt = _ckpt(seed=21, n_classes=3, kind=kind, state_dim=6 if kind == "lstm" else 30)
+    if kind == "inode":
+        # INODE reads a chunk out with one product, whose rounding in a BLAS
+        # depends on the rows around each one; a read-out that picks one
+        # state coordinate per class is exact in any order, so the text
+        # shows the state recursion alone
+        wc = np.zeros_like(ckpt.store["fcc_w"])
+        wc[[0, 1, 2], [0, 1, 2]] = 4.0
+        ckpt.store["fcc_w"] = wc
+    seq = moving_dot(1, seed=22, n_events=2000, noise_rate=0.2)
+    texts = set()
+    for chunk in (1, 7, 4096):
+        out = io.StringIO()
+        stream.fast_replay(seq, ckpt, out, chunk=chunk)
+        texts.add(out.getvalue())
+    assert len(texts) == 1
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm"])
+def test_fast_replay_memory_does_not_grow_with_the_recording(kind):
+    import tracemalloc
+    ckpt = _ckpt(seed=23, kind=kind, state_dim=6 if kind == "lstm" else 30)
+    peaks = []
+    for n_events in (2 ** 12, 2 ** 14):  # 16 and 64 chunks
+        seq = moving_dot(0, seed=24, n_events=n_events, noise_rate=0.1)
+        tracemalloc.start()
+        try:
+            stream.fast_replay(seq, ckpt, _Discard(), chunk=256)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 19, peaks

@@ -191,3 +191,13 @@ def test_lstm_and_bilstm_trainers_run():
         rec = trainer.run_epoch()
         assert np.isfinite(rec.train_loss)
         assert 0.0 <= rec.accuracies[5] <= 1.0
+
+
+def test_eval_seconds_reach_the_json_and_stay_out_of_the_csv():
+    train_set, test_set = _tiny_sets()
+    trainer = Trainer(_tiny_config(), train_set, test_set)
+    record = trainer.run_epoch()
+    assert 0.0 < record.eval_seconds < record.wall_seconds
+    import json
+    assert json.loads(metrics_json(trainer.log))[0]["eval_seconds"] == record.eval_seconds
+    assert "eval" not in metrics_csv(trainer.log)
