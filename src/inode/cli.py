@@ -207,6 +207,11 @@ def cmd_eval(args):
 
 def cmd_stream(args):
     ckpt = load_checkpoint(args.ckpt)
+    try:
+        session = streaming.make_session(ckpt)
+    except ValueError as exc:  # a kind that classifies whole windows only
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.replay:
         seq = streaming.load_replay(args.replay, ckpt.sensor_dims)
         if args.fast:
@@ -214,15 +219,14 @@ def cmd_stream(args):
             rate = f" ({n / seconds:,.0f} events/s)" if seconds > 0 else ""
             print(f"# {n} events in {seconds:.3f}s{rate}", file=sys.stderr)
         else:
-            streaming.replay_events(seq, streaming.make_session(ckpt), sys.stdout, pace=True)
+            streaming.replay_events(seq, session, sys.stdout, pace=True)
         return 0
     if args.listen:
         host, port = args.listen
         print(f"listening on {host}:{port}", file=sys.stderr)
         streaming.serve_tcp(ckpt, host, port)
         return 0
-    session = streaming.LineSession(streaming.make_session(ckpt))
-    streaming.serve_lines(session)
+    streaming.serve_lines(streaming.LineSession(session))
     return 0
 
 

@@ -181,14 +181,17 @@ def sigmoid(a):
     return a.tape.record(out, (a,), lambda g, out=out: (g * out * (1.0 - out),))
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None, scratch=None):
+    """The logistic function of ``x``, into ``out`` (which may be ``x``
+    itself) through ``scratch`` of ``x``'s shape when they are given, into
+    fresh arrays when not."""
     # e = exp(-|x|) never overflows; the numerator max(e, x >= 0) is 1 for
     # x >= 0 and e below (e <= 1).  min(x, -x) keeps a NaN's sign, so every
     # bit equals splitting the array by sign, without masks or branches.
-    e = np.negative(x, out=np.empty_like(x))
+    e = np.negative(x, out=scratch)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, x >= 0, out=np.empty_like(x))
+    out = np.maximum(e, x >= 0, out=out)
     e += 1.0
     out /= e
     return out

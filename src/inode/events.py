@@ -136,6 +136,15 @@ class Dataset:
         return np.array([seq.label for seq in self.sequences], dtype=np.int64)
 
 
+def _decoded(xs, ys, ps, ts, label, sensor_dims):
+    """The sequence of a decoded payload; a field that the sequence refuses,
+    a coordinate outside the sensor, is a fault of the payload."""
+    try:
+        return EventSequence(xs, ys, ps, ts, label=label, sensor_dims=sensor_dims)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def parse_aer(data, sensor_dims=DEFAULT_SENSOR, label=None):
     """Decode a 5-byte-per-record AER payload into an event sequence."""
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -154,7 +163,7 @@ def parse_aer(data, sensor_dims=DEFAULT_SENSOR, label=None):
             warnings.warn("non-monotone timestamps after overflow extension; sorting", stacklevel=2)
             order = np.argsort(ts, kind="stable")
             xs, ys, ps, ts = xs[order], ys[order], ps[order], ts[order]
-    return EventSequence(xs, ys, ps, ts, label=label, sensor_dims=sensor_dims)
+    return _decoded(xs, ys, ps, ts, label, sensor_dims)
 
 
 def write_aer(seq):
@@ -192,7 +201,7 @@ def parse_aer16(data, sensor_dims, label=None):
         warnings.warn("non-monotone timestamps; sorting", stacklevel=2)
         order = np.argsort(ts, kind="stable")
         xs, ys, ps, ts = xs[order], ys[order], ps[order], ts[order]
-    return EventSequence(xs, ys, ps, ts, label=label, sensor_dims=sensor_dims)
+    return _decoded(xs, ys, ps, ts, label, sensor_dims)
 
 
 def write_aer16(seq):

@@ -18,6 +18,10 @@ from .preprocess import normalize_dt, normalize_sequence
 
 GATES = ("i", "f", "g", "o")
 INPUT_DIM = 4
+# events per input projection and read-out of a replay: a whole
+# 4,096-event chunk's [events x 4 x 1 x H] projection raised the LSTM
+# benchmark's peak RSS from 185 to 203 MB
+BLOCK = 256
 
 
 def layout(n_classes, hidden, bidirectional):
@@ -56,8 +60,16 @@ def _names(prefix, gates):
 class _Cell:
     """The fused LSTM cell of one direction, its gate weights bound once:
     W_* and U_* in row order (i, f, o, g) and the biases stacked into one
-    [4 x 1 x H] block.  A single-row cell also owns [4 x 1 x H] scratch
-    for the pre-activations, so cells must not be shared between threads.
+    [4 x 1 x H] block.
+
+    A batch runs ``gates`` into fresh arrays, which its tape keeps.  A
+    single-row cell (``rows == 1``, the live and replay path) also binds
+    the [4 x 4 x H] input and [4 x H x H] recurrent gate stacks and owns
+    [4 x 1 x H] scratch, which ``advance`` fills in place; such a cell must
+    not be shared between threads.  A broadcast ``np.matmul`` over a stack
+    runs one single-row product per item, so each gate's product has the
+    bits of its own ``np.dot``; a concatenated product such as
+    ``[u h] @ [W; U]``, or a gemm over several rows, sums in another order.
     """
 
     def __init__(self, store, prefix, rows):
@@ -66,45 +78,61 @@ class _Cell:
         self.ws = [store[w] for w, _, _ in rows_names]
         self.us = [store[u] for _, u, _ in rows_names]
         self.bias = np.stack([store[b] for _, _, b in rows_names])
-        shape = (4, 1, hidden_dim_of(store))
-        self.scratch = (np.empty(shape), np.empty(shape)) if rows == 1 else None
+        self.single_row = rows == 1
+        if self.single_row:
+            self.w4, self.u4 = np.stack(self.ws), np.stack(self.us)
+            self.ux = np.empty_like(self.bias)  # the input products of one event
+            self._z = z = np.empty_like(self.bias)
+            self._scratch = np.empty_like(z[:3])
+            self._views = (z[:3], z[3], *z[:3])  # sigmoid rows, g, then i, f, o
         # the generic cell's leaf order, which fixes the order of the
         # gradient dictionary that ``engine.backward`` returns
         self.leaf_names = _names(prefix, GATES)
 
     def gates(self, u, h):
-        """Fresh activations sigmoid(i, f, o) and tanh(g) of one step.
+        """Fresh activations sigmoid(i, f, o) and tanh(g) of a batch step.
 
         Each gate's pre-activation is (u W + h U) + b from two products of
-        its own: a product stacked over the gates sums in another order.
-        A single row, where the cost per numpy call dominates, sums and
-        adds the bias over the stacked scratch in one call each and runs
-        one sigmoid over rows i, f and o.  A batch takes the gates one by
-        one into fresh arrays: on the stacked scratch, a B = 100, H = 72
-        training epoch ran 5-15% slower, and stacked sigmoid results held
-        by the tape raised its peak RSS by about 4 MB (2-core x86 host,
-        one OpenBLAS thread).
+        its own.  On a stacked scratch, a B = 100, H = 72 training epoch ran
+        5-15% slower, and stacked sigmoid results held by the tape raised
+        its peak RSS by about 4 MB (2-core x86 host, one OpenBLAS thread).
         """
-        if self.scratch is None:
-            zs = []
-            for w, uw, b in zip(self.ws, self.us, self.bias):
-                z = u @ w
-                z += h @ uw
-                z += b
-                zs.append(z)
-            return [en._sigmoid(z) for z in zs[:3]], np.tanh(zs[3])
-        zx, zh = self.scratch
-        for k in range(4):
-            np.dot(u, self.ws[k], out=zx[k])
-            np.dot(h, self.us[k], out=zh[k])
-        zx += zh
-        zx += self.bias
-        return en._sigmoid(zx[:3]), np.tanh(zx[3])
+        zs = []
+        for w, uw, b in zip(self.ws, self.us, self.bias):
+            z = u @ w
+            z += h @ uw
+            z += b
+            zs.append(z)
+        return [en._sigmoid(z) for z in zs[:3]], np.tanh(zs[3])
+
+    def advance(self, ux, h, c, h_out):
+        """One single-row step in place: ``ux`` holds the four input
+        products u W_* as a [4 x 1 x H] block; ``c`` becomes the new cell
+        state and ``h_out`` (which may be ``h``) the new output, bit for bit
+        those of ``step``.  It allocates no array but ``_sigmoid``'s mask.
+        """
+        z = self._z
+        ifo, g, i, f, o = self._views
+        np.matmul(h, self.u4, out=z)
+        z += ux
+        z += self.bias
+        en._sigmoid(ifo, ifo, self._scratch)
+        np.tanh(g, out=g)
+        c *= f
+        g *= i
+        c += g
+        np.tanh(c, out=h_out)
+        h_out *= o
 
     def step(self, state, u, tape=None):
         """``lstm_step`` with this cell's weights."""
         h, c = state
         hv, cv = _val(h), _val(c)
+        if tape is None and self.single_row:
+            h_new, c_new = np.empty_like(hv), cv.copy()
+            np.matmul(u, self.w4, out=self.ux)
+            self.advance(self.ux, hv, c_new, h_new)
+            return h_new, c_new
         (i, f, o), g = self.gates(u, hv)
         c_new = f * cv + i * g
         h_new = o * np.tanh(c_new)
@@ -214,54 +242,73 @@ def backward_bptt(batch, store, cell=lstm_step):
 class OnlineLstm(OnlineSession):
     """Streamed unidirectional inference, equal to the batched prefix.
 
-    A session binds its own cell once, so sessions on one store may run
-    in parallel threads.
+    A session binds its own single-row cell once and keeps its state
+    ``(h, c)`` in two [1 x H] buffers that each event overwrites and
+    ``reset`` zeroes, so sessions on one store may run in parallel threads.
     """
 
     def __init__(self, store, stats, sensor_dims):
         if is_bidirectional(store):
             raise ValueError("a bidirectional model cannot run online")
         self._cell = _Cell(store, "fwd", 1)
+        self.state = _zero_state(1, hidden_dim_of(store), None)
         super().__init__(store, stats, sensor_dims)
 
     def reset(self):
         super().reset()
-        self.state = _zero_state(1, hidden_dim_of(self.store), None)
+        for buffer in self.state:
+            buffer.fill(0.0)
 
     def observe(self, event):
         dtau = self._gap(event)
-        self.state = self._cell.step(self.state, np.array([(*self._input(event), dtau)]))
-        return self._predict(self.state[0])
+        cell, (h, c) = self._cell, self.state
+        np.matmul(np.array([(*self._input(event), dtau)]), cell.w4, out=cell.ux)
+        cell.advance(cell.ux, h, c, h)
+        return self._predict(h)
 
     def replay(self, seq, chunk):
         """(timestamp, class, posterior) of each event of a decoded
         recording, equal to a fresh session's ``observe`` bit for bit: one
         iterable of them per ``chunk`` events.
 
-        Each chunk builds the feature and gap columns of its own events, so
-        memory grows with ``chunk``, not with the recording; each event
-        then runs the step and the read-out product into its row of the
-        chunk's logits, and the bias, arg-max and softmax run once per
-        chunk.  The session's own state is left as it is.
+        Each chunk builds the feature and gap columns of its own events.
+        Blocks of up to ``BLOCK`` of them then take their input products in
+        one broadcast product, each event runs ``_Cell.advance`` into its
+        row of a block of states, and the block is read out in one
+        broadcast product; the bias, arg-max and softmax run once per
+        chunk.  Each broadcast product keeps the bits of its items' own
+        single-row products (see ``_Cell``), and memory grows with
+        ``chunk``, not with the recording.  The session's own state is left
+        as it is.
         """
-        stats, wc, bc = self.stats, self._wc, self._bc
+        stats, wc, bc, cell = self.stats, self._wc, self._bc, self._cell
+        block = min(chunk, BLOCK)
         feats = np.zeros((chunk, INPUT_DIM))
-        logits = np.empty((chunk, wc.shape[1]))
-        step = self._cell.step
+        logits = np.empty((chunk, 1, wc.shape[1]))
+        proj = np.empty((block, *cell.ux.shape))
+        # row 0 holds the state before a block, row k + 1 the state after its event k
+        states = np.zeros((block + 1, hidden_dim_of(self.store)))
+        c = np.zeros_like(states[:1])
+        rows = [states[k:k + 1] for k in range(block + 1)]
+        advance = cell.advance
 
-        def chunks(state):
+        def chunks():
             for lo in range(0, len(seq), chunk):
-                hi = min(lo + chunk, len(seq))
+                n = min(chunk, len(seq) - lo)
                 lead = int(lo == 0)  # the recording's first event keeps a zero gap
-                feats[:hi - lo, :3] = normalize_sequence(seq, lo, hi)
-                feats[lead:hi - lo, 3] = normalize_dt(
-                    np.maximum(np.diff(seq.ts[lo - 1 + lead:hi]), 0), stats)
-                for i in range(hi - lo):
-                    state = step(state, feats[i:i + 1])
-                    np.dot(state[0], wc, out=logits[i:i + 1])
-                z = logits[:hi - lo]
+                feats[:n, :3] = normalize_sequence(seq, lo, lo + n)
+                feats[lead:n, 3] = normalize_dt(
+                    np.maximum(np.diff(seq.ts[lo - 1 + lead:lo + n]), 0), stats)
+                for b in range(0, n, block):
+                    m = min(block, n - b)
+                    np.matmul(feats[b:b + m, None, None, :], cell.w4, out=proj[:m])
+                    for ux, h, h_out in zip(proj[:m], rows, rows[1:]):
+                        advance(ux, h, c, h_out)
+                    np.matmul(states[1:m + 1, None, :], wc, out=logits[b:b + m])
+                    states[0] = states[m]
+                z = logits[:n, 0]
                 z += bc
-                yield zip(seq.ts[lo:hi].tolist(), np.argmax(z, axis=1).tolist(),
+                yield zip(seq.ts[lo:lo + n].tolist(), np.argmax(z, axis=1).tolist(),
                           en.softmax(z, axis=1).tolist())
 
-        return chunks(_zero_state(1, hidden_dim_of(self.store), None))
+        return chunks()

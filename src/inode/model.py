@@ -377,7 +377,9 @@ class OnlineClassifier(OnlineSession):
                     add(d_buf, b3, d_buf)
                     mul(d_buf, gap, d_buf)
                     h = add(h, d_buf, out)
-                logits = states @ self._wc + self._bc
+                # one single-row product per state, as ``_predict`` runs it: a
+                # gemm over the chunk rounds a row by its neighbours
+                logits = (states[:, None, :] @ self._wc)[:, 0] + self._bc
                 yield zip(seq.ts[lo:hi].tolist(), np.argmax(logits, axis=1).tolist(),
                           en.softmax(logits, axis=1).tolist())
 

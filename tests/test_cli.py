@@ -25,9 +25,9 @@ CHILD_ENV = {**os.environ,
              "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=300):
     return subprocess.run([sys.executable, "-m", "inode.cli", *args], env=CHILD_ENV,
-                          capture_output=True, text=True, input=stdin, timeout=300)
+                          capture_output=True, text=True, input=stdin, timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,41 @@ def test_corrupt_replay_file_exits_2(trained, tmp_path):
     replay.write_bytes(b"abc")
     _assert_clean_exit_2(run_cli("stream", "--ckpt", str(trained), "--replay", str(replay),
                                  "--fast"))
+
+
+@pytest.fixture(scope="module")
+def bilstm(tmp_path_factory):
+    from inode import lstm
+    from inode.checkpoint import save_checkpoint
+    from inode.preprocess import TimeStats
+    path = tmp_path_factory.mktemp("bilstm") / "bi.ckpt"
+    store = lstm.init_params(np.random.default_rng(1), 2, hidden=4, bidirectional=True)
+    save_checkpoint(path, store, TimeStats(dq=100.0), kind="bilstm", n_classes=2,
+                    state_dim=4, features=4, sensor_dims=(34, 34))
+    return path
+
+
+@pytest.mark.parametrize("mode", [[], ["--listen", "127.0.0.1:0"]], ids=["stdin", "listen"])
+def test_stream_of_a_kind_without_an_online_session_exits_2(bilstm, mode):
+    # refused before the server listens: a server would accept and then
+    # drop every connection
+    proc = run_cli("stream", "--ckpt", str(bilstm), *mode, stdin="E 1 2 1 100\n", timeout=60)
+    _assert_clean_exit_2(proc)
+    assert "bilstm" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_replay_of_a_recording_outside_the_sensor_exits_2(trained, tmp_path):
+    from inode.events import write_aer
+    from inode.synth import moving_dot
+    seq = moving_dot(0, seed=2, n_events=200, sensor_dims=(64, 64))
+    assert seq.xs.max() >= 34  # the checkpoint's sensor is 34 x 34
+    replay = tmp_path / "wide.bin"
+    replay.write_bytes(write_aer(seq))
+    for fast in ([], ["--fast"]):
+        proc = run_cli("stream", "--ckpt", str(trained), "--replay", str(replay), *fast)
+        _assert_clean_exit_2(proc)
+        assert "sensor" in proc.stderr
 
 
 def test_stream_replay_fast(trained, tmp_path):

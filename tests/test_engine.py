@@ -257,7 +257,17 @@ def test_node_outliving_its_tape_refuses_new_ops():
 
 
 def test_sigmoid_equals_masked_formula_bitwise():
-    gates = np.random.default_rng(11).standard_normal((100, 72)) * 5.0
+    rng = np.random.default_rng(11)
+    gates = rng.standard_normal((100, 72)) * 5.0
+    stacked = rng.standard_normal((3, 1, 72)) * 5.0  # a live cell's i, f, o rows
     edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0])
-    for x in (gates, edges):
-        assert np.array_equal(en._sigmoid(x).view(np.uint64), sigmoid_masked(x).view(np.uint64))
+    for x in (gates, stacked, edges):
+        want = sigmoid_masked(x).view(np.uint64)
+        assert np.array_equal(en._sigmoid(x).view(np.uint64), want)
+        # into given buffers, and in place over the input
+        out, scratch = np.empty_like(x), np.empty_like(x)
+        assert en._sigmoid(x, out, scratch) is out
+        assert np.array_equal(out.view(np.uint64), want)
+        inplace = x.copy()
+        assert en._sigmoid(inplace, inplace, scratch) is inplace
+        assert np.array_equal(inplace.view(np.uint64), want)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -114,14 +115,55 @@ def test_replay_rows_equal_observe_bitwise(hidden):
     seq = moving_dot(3, seed=hidden, n_events=1000, noise_rate=0.2)
     stats = TimeStats(dq=100.0)
     want = _observed_rows(lstm.OnlineLstm(store, stats, seq.sensor_dims), seq, range(len(seq)))
-    chunks = [list(rows) for rows in
-              lstm.OnlineLstm(store, stats, seq.sensor_dims).replay(seq, chunk=128)]
-    assert [len(rows) for rows in chunks] == [128] * 7 + [104]
-    got = [row for rows in chunks for row in rows]
-    assert len(got) == len(want)
-    for (t, pred, posterior), (want_t, want_pred, want_posterior) in zip(got, want):
-        assert (t, pred) == (want_t, want_pred)
-        assert np.array_equal(posterior, want_posterior)
+    fresh = lstm.OnlineLstm(store, stats, seq.sensor_dims)
+    # a session whose buffers and cell scratch hold another recording's values
+    used = lstm.OnlineLstm(store, stats, seq.sensor_dims)
+    _observed_rows(used, moving_dot(1, seed=hidden + 1, n_events=300), range(300))
+    used.reset()
+    # chunks around the replay's block of lstm.BLOCK events
+    for session, chunk in itertools.product((fresh, used), (1, 128, 255, 300, 4096)):
+        chunks = [list(rows) for rows in session.replay(seq, chunk=chunk)]
+        assert [len(rows) for rows in chunks] == [chunk] * (1000 // chunk) + (
+            [1000 % chunk] if 1000 % chunk else [])
+        got = [row for rows in chunks for row in rows]
+        assert len(got) == len(want)
+        for (t, pred, posterior), (want_t, want_pred, want_posterior) in zip(got, want):
+            assert (t, pred) == (want_t, want_pred)
+            assert np.array_equal(posterior, want_posterior)
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("hidden", [5, 6, 7, 30, 72])
+def test_broadcast_matmul_rows_equal_single_row_dot_bitwise(hidden):
+    """The replays rest on this property of numpy's matmul over its BLAS:
+    a broadcast product over a stack runs one single-row product per item,
+    with the bits of that row's own ``np.dot``."""
+    rng = np.random.default_rng(hidden)
+    w4 = rng.uniform(-1, 1, (4, lstm.INPUT_DIM, hidden))  # the input gate stack
+    u4 = rng.uniform(-1, 1, (4, hidden, hidden))           # the recurrent gate stack
+    for m in (1, 7, 255, 256):  # the input block of a replay, or observe's one event
+        feats = rng.uniform(-1, 1, (m, lstm.INPUT_DIM))
+        proj = np.empty((m, 4, 1, hidden))
+        np.matmul(feats[:, None, None, :], w4, out=proj)
+        for r in range(m):
+            for k in range(4):
+                assert _bits_equal(proj[r, k], np.dot(feats[r:r + 1], w4[k]))
+    h = rng.uniform(-1, 1, (1, hidden))
+    z = np.empty((4, 1, hidden))
+    np.matmul(h, u4, out=z)
+    for k in range(4):
+        assert _bits_equal(z[k], np.dot(h, u4[k]))
+    for n_classes in (2, 4, 10):  # the read-out of a block or chunk of states
+        wc = rng.uniform(-1, 1, (hidden, n_classes))
+        for m in (1, 7, 256, 4096):
+            states = rng.uniform(-1, 1, (m, hidden))
+            logits = np.empty((m, 1, n_classes))
+            np.matmul(states[:, None, :], wc, out=logits)
+            for r in range(m):
+                assert _bits_equal(logits[r], np.dot(states[r:r + 1], wc))
 
 
 def test_reset_session_equals_fresh_session_bitwise():
