@@ -16,9 +16,8 @@ from .checkpoint import MODEL_KINDS, load_checkpoint
 from .errors import DatasetError, FormatError, NaNLossError
 from .events import load_dataset, split_dataset
 from .synth import moving_dot_dataset, num_patterns
-from .training import RunConfig, evaluate, report, train
+from .training import DEFAULT_EVAL_LENGTHS, RunConfig, evaluate, report, train
 
-DEFAULT_LENGTHS = "10,20,30,40,50,60,70,80,90,100"
 # the longest window --s-len and --lengths take: five times the default
 # --truncate; a batch of 100 such windows already holds gigabytes of tape
 MAX_STEPS = 10_000
@@ -142,7 +141,7 @@ def build_parser():
     pe = sub.add_parser("eval", help="accuracy of a checkpoint across event budgets")
     pe.add_argument("--ckpt", required=True)
     _add_data_flags(pe)
-    pe.add_argument("--lengths", type=_lengths, default=_lengths(DEFAULT_LENGTHS))
+    pe.add_argument("--lengths", type=_lengths, default=DEFAULT_EVAL_LENGTHS)
     pe.add_argument("--seed", type=_seed, default=0)
     pe.add_argument("--repeats", type=_count, default=1)
     pe.add_argument("--json-out", default=None,

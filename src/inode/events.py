@@ -251,7 +251,8 @@ def load_dataset(root, truncate_to=None, split="train"):
 
     Class names sorted lexicographically define the class indices; files
     are visited in sorted order so the sequence order is deterministic.
-    Unreadable files are skipped with a logged warning.
+    Unreadable files are skipped with a logged warning; DatasetError when
+    no file is left.
     """
     root = Path(root)
     if not root.is_dir():
@@ -274,6 +275,8 @@ def load_dataset(root, truncate_to=None, split="train"):
             if truncate_to is not None:
                 seq = seq.truncated(truncate_to)
             sequences.append(seq)
+    if not sequences:
+        raise DatasetError(f"no readable sequence under {root}")
     return Dataset(sequences, class_count=len(class_dirs), split=split)
 
 

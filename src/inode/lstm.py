@@ -14,14 +14,10 @@ import numpy as np
 from . import engine as en
 from .model import ForwardResult, OnlineSession, _val, classify, gradients, unroll
 from .params import init_store
-from .preprocess import normalize_dt, normalize_sequence
+from .preprocess import normalize_sequence
 
 GATES = ("i", "f", "g", "o")
 INPUT_DIM = 4
-# events per input projection and read-out of a replay: a whole
-# 4,096-event chunk's [events x 4 x 1 x H] projection raised the LSTM
-# benchmark's peak RSS from 185 to 203 MB
-BLOCK = 256
 
 
 def layout(n_classes, hidden, bidirectional):
@@ -266,49 +262,24 @@ class OnlineLstm(OnlineSession):
         cell.advance(cell.ux, h, c, h)
         return self._predict(h)
 
-    def replay(self, seq, chunk):
-        """(timestamp, class, posterior) of each event of a decoded
-        recording, equal to a fresh session's ``observe`` bit for bit: one
-        iterable of them per ``chunk`` events.
-
-        Each chunk builds the feature and gap columns of its own events.
-        Blocks of up to ``BLOCK`` of them then take their input products in
-        one broadcast product, each event runs ``_Cell.advance`` into its
-        row of a block of states, and the block is read out in one
-        broadcast product; the bias, arg-max and softmax run once per
-        chunk.  Each broadcast product keeps the bits of its items' own
-        single-row products (see ``_Cell``), and memory grows with
-        ``chunk``, not with the recording.  The session's own state is left
-        as it is.
-        """
-        stats, wc, bc, cell = self.stats, self._wc, self._bc, self._cell
-        block = min(chunk, BLOCK)
-        feats = np.zeros((chunk, INPUT_DIM))
-        logits = np.empty((chunk, 1, wc.shape[1]))
-        proj = np.empty((block, *cell.ux.shape))
-        # row 0 holds the state before a block, row k + 1 the state after its event k
-        states = np.zeros((block + 1, hidden_dim_of(self.store)))
-        c = np.zeros_like(states[:1])
-        rows = [states[k:k + 1] for k in range(block + 1)]
+    def _recursion(self, seq, states):
+        """``_Cell.advance`` per event on a copy of the session's cell
+        state, after one broadcast product for the input products of a
+        chunk, so the replay equals ``observe`` bit for bit (see ``_Cell``)."""
+        cell = self._cell
+        states[0] = self.state[0]
+        c = self.state[1].copy()
+        rows = list(states)
+        feats = np.zeros((len(states) - 1, INPUT_DIM))
+        proj = np.empty((len(feats), *cell.ux.shape))
         advance = cell.advance
 
-        def chunks():
-            for lo in range(0, len(seq), chunk):
-                n = min(chunk, len(seq) - lo)
-                lead = int(lo == 0)  # the recording's first event keeps a zero gap
-                feats[:n, :3] = normalize_sequence(seq, lo, lo + n)
-                feats[lead:n, 3] = normalize_dt(
-                    np.maximum(np.diff(seq.ts[lo - 1 + lead:lo + n]), 0), stats)
-                for b in range(0, n, block):
-                    m = min(block, n - b)
-                    np.matmul(feats[b:b + m, None, None, :], cell.w4, out=proj[:m])
-                    for ux, h, h_out in zip(proj[:m], rows, rows[1:]):
-                        advance(ux, h, c, h_out)
-                    np.matmul(states[1:m + 1, None, :], wc, out=logits[b:b + m])
-                    states[0] = states[m]
-                z = logits[:n, 0]
-                z += bc
-                yield zip(seq.ts[lo:lo + n].tolist(), np.argmax(z, axis=1).tolist(),
-                          en.softmax(z, axis=1).tolist())
+        def fill(lo, hi, gaps):
+            n = hi - lo
+            feats[:n, :3] = normalize_sequence(seq, lo, hi)
+            feats[int(lo == 0):n, 3] = gaps  # the recording's first event keeps a zero gap
+            np.matmul(feats[:n, None, None, :], cell.w4, out=proj[:n])
+            for ux, h, h_out in zip(proj[:n], rows, rows[1:]):
+                advance(ux, h, c, h_out)
 
-        return chunks()
+        return fill

@@ -297,6 +297,41 @@ class OnlineSession:
         e /= e.sum()
         return int(z.argmax()), e
 
+    def replay(self, seq, chunk):
+        """(timestamp, class, posterior) of each event of a decoded
+        recording, as ``observe`` would give them from this session's state
+        with a zero first gap: one iterable of them per ``chunk`` events.
+        The session's own state is left as it is.
+
+        The kind's ``_recursion(seq, states)`` puts the session's state in
+        row 0 of ``states`` and returns ``fill(lo, hi, gaps)``, which writes
+        the states after events ``lo:hi`` into the rows after it.  Each
+        chunk is read out in one broadcast product, one single-row product
+        per state as ``_predict`` runs it (a gemm rounds a row by its
+        neighbours), so the text does not depend on ``chunk``, and memory
+        grows with ``chunk``, not with the recording.  ``EventSequence``
+        refuses decreasing timestamps, so no gap needs clamping.
+        """
+        wc, bc, stats = self._wc, self._bc, self.stats
+        # row 0 holds the state before a chunk, row k + 1 the state after its event k
+        states = np.empty((chunk + 1, 1, wc.shape[0]))
+        fill = self._recursion(seq, states)
+
+        def chunks():
+            for lo in range(0, len(seq), chunk):
+                hi = min(lo + chunk, len(seq))
+                n = hi - lo
+                # the gap of each event but the recording's first, which has none
+                lead = int(lo == 0)
+                fill(lo, hi, normalize_dt(np.diff(seq.ts[lo - 1 + lead:hi]), stats))
+                z = (states[1:n + 1] @ wc)[:, 0]
+                z += bc
+                states[0] = states[n]
+                yield zip(seq.ts[lo:hi].tolist(), np.argmax(z, axis=1).tolist(),
+                          en.softmax(z, axis=1).tolist())
+
+        return chunks()
+
 
 class OnlineClassifier(OnlineSession):
     """Event-by-event inference with sample-and-hold inputs.
@@ -328,71 +363,56 @@ class OnlineClassifier(OnlineSession):
         self._held_u = np.array([self._input(event)])
         return self._predict(self.state)
 
-    def replay(self, seq, chunk):
-        """(timestamp, class, posterior) of each event of a decoded
-        recording, as ``observe`` would give them from this session's state
-        with a zero first gap: one iterable of them per ``chunk`` events.
-        Each chunk runs the input half of FC2, the gaps, the read-outs and
-        the softmax over its own events, so memory grows with ``chunk``,
-        not with the recording; only the state recursion runs per event.
+    def _recursion(self, seq, states):
+        """The split-FC2 recursion; the recording's first event only reads out.
 
-        FC2 is split, tanh(FC1 h) W2_top + (tanh(FCu u) W2_bot + b2), which
-        groups its sum differently from ``observe``: timestamps and arg-max
-        are the same, the posteriors agree within 1e-9, not bit for bit.
+        FC2 is split, tanh(FC1 h) W2_top + (tanh(FCu u) W2_bot + b2), so that
+        the input half runs once per distinct input of a chunk
+        (``_held_projection``).  That groups its sum differently from
+        ``observe``: timestamps and arg-max are the same, the posteriors
+        agree within 1e-9, not bit for bit.
         """
-        store, stats = self.store, self.stats
+        store = self.store
         w1, b1 = store["fc1_w"], store["fc1_b"][0]
         wu, bu = store["fcu_w"], store["fcu_b"][0]
-        w2 = store["fc2_w"]
-        w2_top = np.ascontiguousarray(w2[: w2.shape[0] // 2])
-        w2_bot = np.ascontiguousarray(w2[w2.shape[0] // 2:])
+        w2_top, w2_bot = map(np.ascontiguousarray, np.split(store["fc2_w"], 2))
         b2 = store["fc2_b"][0]
         w3, b3 = store["fc3_w"], store["fc3_b"][0]
+        states[0] = self.state
 
         # the per-event calls are bound locally and given their outputs by
         # position, which costs less per call than a global and a keyword
-        def chunks(h, s_buf, t_buf, d_buf, dot=np.dot, add=np.add, mul=np.multiply,
-                   tanh=np.tanh):
-            for lo in range(0, len(seq), chunk):
-                hi = min(lo + chunk, len(seq))
-                states = np.empty((hi - lo, len(h)))
-                lead = int(lo == 0)  # the recording's first event only reads out
-                if lead:
-                    states[0] = h
-                # event i advances the state across the gap since event i-1
-                # using the input held from it: row k of the projection and
-                # of the gaps serves event first + 1 + k (the projection's
-                # last row serves the next chunk, which computes it again)
-                first = lo - 1 + lead
-                gaps = normalize_dt(np.maximum(np.diff(seq.ts[first:hi]), 0), stats).tolist()
-                proj = self._held_projection(seq, first, hi, wu, bu, w2_bot, b2)
-                for out, held, gap in zip(states[lead:], proj, gaps):
-                    dot(h, w1, s_buf)
-                    add(s_buf, b1, s_buf)
-                    tanh(s_buf, s_buf)
-                    dot(s_buf, w2_top, t_buf)
-                    add(t_buf, held, t_buf)
-                    tanh(t_buf, t_buf)
-                    dot(t_buf, w3, d_buf)
-                    add(d_buf, b3, d_buf)
-                    mul(d_buf, gap, d_buf)
-                    h = add(h, d_buf, out)
-                # one single-row product per state, as ``_predict`` runs it: a
-                # gemm over the chunk rounds a row by its neighbours
-                logits = (states[:, None, :] @ self._wc)[:, 0] + self._bc
-                yield zip(seq.ts[lo:hi].tolist(), np.argmax(logits, axis=1).tolist(),
-                          en.softmax(logits, axis=1).tolist())
+        def fill(lo, hi, gaps, s_buf=np.empty(w1.shape[1]), t_buf=np.empty(w1.shape[1]),
+                 d_buf=np.empty(w1.shape[0]), dot=np.dot, add=np.add, mul=np.multiply,
+                 tanh=np.tanh):
+            lead = int(lo == 0)
+            if lead:
+                states[1] = states[0]
+            # event i advances across the gap since event i-1 with the
+            # input held from it, so the projection starts one event early
+            proj = self._held_projection(seq, lo - 1 + lead, hi, wu, bu, w2_bot, b2)
+            h = states[0, 0]
+            for out, held, gap in zip(states[1 + lead:hi - lo + 1, 0], proj, gaps.tolist()):
+                dot(h, w1, s_buf)
+                add(s_buf, b1, s_buf)
+                tanh(s_buf, s_buf)
+                dot(s_buf, w2_top, t_buf)
+                add(t_buf, held, t_buf)
+                tanh(t_buf, t_buf)
+                dot(t_buf, w3, d_buf)
+                add(d_buf, b3, d_buf)
+                mul(d_buf, gap, d_buf)
+                h = add(h, d_buf, out)
 
-        return chunks(self.state[0], np.empty(w1.shape[1]), np.empty(w1.shape[1]),
-                      np.empty(w1.shape[0]))
+        return fill
 
     @staticmethod
     def _held_projection(seq, lo, hi, wu, bu, w2_bot, b2):
         """tanh(FCu u) W2_bot + b2 for the inputs u of events ``lo:hi``.
 
         The projection depends on an event's pixel and polarity alone, so
-        it runs once per distinct one among them (about 420 of 4096 events
-        on a 34 x 34 moving-dot recording), at least two rows at a time:
+        it runs once per distinct one among them (about 50 of 256 events on
+        a 34 x 34 moving-dot recording), at least two rows at a time:
         numpy gives a one-row product to another BLAS kernel, with other
         rounding.  Each row then equals its row of the same product over
         the whole recording.

@@ -133,13 +133,13 @@ def replay_events(seq, session, outfile, pace=True):
     return len(seq)
 
 
-def fast_replay(seq, ckpt, outfile, chunk=4096):
+def fast_replay(seq, ckpt, outfile, chunk=256):
     """Full-speed replay, writing the lines the per-event session would.
 
     The checkpoint's session replays the whole recording (see
-    ``OnlineClassifier.replay`` and ``OnlineLstm.replay``), which must be
-    on the checkpoint's sensor, ``chunk`` events at a time, so memory
-    grows with ``chunk``, not with the recording.
+    ``model.OnlineSession.replay``), which must be on the checkpoint's
+    sensor, ``chunk`` events at a time, so memory grows with ``chunk``,
+    not with the recording.
     Returns (events, seconds): the seconds cover all the work done chunk
     by chunk (the features, the recursion, the read-outs and the
     formatting), and not the session's set-up.

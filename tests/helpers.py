@@ -132,3 +132,8 @@ def record_starts(blob):
         starts.append((name, offset))
         offset = buf.tell()
     return starts
+
+
+def observed_rows(online, seq, events):
+    """(timestamp, class, posterior) of ``online.observe`` on the given events."""
+    return [(seq.ts[k], *online.observe(seq.event(k))) for k in events]

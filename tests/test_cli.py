@@ -284,3 +284,20 @@ def test_a_split_without_held_out_items_exits_2(trained, tmp_path):
                  run_cli("eval", "--ckpt", str(trained), "--data", str(root))):
         _assert_clean_exit_2(proc)
         assert "holds none out" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_test_split_without_a_readable_file_exits_2(trained, tmp_path, command):
+    root = tmp_path / "data"
+    _data_root(root / "train", [3, 3])
+    for c in range(2):
+        (root / "test" / f"c{c}").mkdir(parents=True)
+        (root / "test" / f"c{c}" / "s00.bin").write_bytes(bytes(7))  # not whole records
+    args = {"train": ["--s-len", "10", "--epochs", "1", "--out", str(tmp_path / "m.ckpt")],
+            "eval": ["--ckpt", str(trained)]}[command]
+    proc = run_cli(command, "--data", str(root), *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    # each skipped file is logged before the error
+    assert proc.stderr.count("skipping") == 2
+    assert proc.stderr.splitlines()[-1].startswith("error: no readable sequence under")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import central_difference, lstm_ops, max_rel_err
+from helpers import central_difference, lstm_ops, max_rel_err, observed_rows
 from inode import engine as en
 from inode import lstm
 from inode.preprocess import Batch, TimeStats, make_batch
@@ -105,24 +105,22 @@ def test_online_equals_batched_prefix_bitwise():
         assert np.array_equal(posterior, en.softmax(res.logits[0, i:i + 1], axis=1)[0])
 
 
-def _observed_rows(online, seq, events):
-    return [(seq.ts[k], *online.observe(seq.event(k))) for k in events]
-
-
 @pytest.mark.parametrize("hidden", [5, 6, 7, 72])
 def test_replay_rows_equal_observe_bitwise(hidden):
     store = _store(seed=30 + hidden, n_classes=4, hidden=hidden)
     seq = moving_dot(3, seed=hidden, n_events=1000, noise_rate=0.2)
     stats = TimeStats(dq=100.0)
-    want = _observed_rows(lstm.OnlineLstm(store, stats, seq.sensor_dims), seq, range(len(seq)))
+    want = observed_rows(lstm.OnlineLstm(store, stats, seq.sensor_dims), seq, range(len(seq)))
     fresh = lstm.OnlineLstm(store, stats, seq.sensor_dims)
     # a session whose buffers and cell scratch hold another recording's values
     used = lstm.OnlineLstm(store, stats, seq.sensor_dims)
-    _observed_rows(used, moving_dot(1, seed=hidden + 1, n_events=300), range(300))
+    observed_rows(used, moving_dot(1, seed=hidden + 1, n_events=300), range(300))
     used.reset()
-    # chunks around the replay's block of lstm.BLOCK events
-    for session, chunk in itertools.product((fresh, used), (1, 128, 255, 300, 4096)):
+    # chunks around fast_replay's default of 256 events
+    for session, chunk in itertools.product((fresh, used), (1, 128, 255, 256, 300, 4096)):
+        before = [buffer.copy() for buffer in session.state]
         chunks = [list(rows) for rows in session.replay(seq, chunk=chunk)]
+        assert all(map(np.array_equal, session.state, before))
         assert [len(rows) for rows in chunks] == [chunk] * (1000 // chunk) + (
             [1000 % chunk] if 1000 % chunk else [])
         got = [row for rows in chunks for row in rows]
@@ -171,12 +169,12 @@ def test_reset_session_equals_fresh_session_bitwise():
     stats = TimeStats(dq=100.0)
     seq = moving_dot(1, seed=32, n_events=1000, noise_rate=0.1)
     used = lstm.OnlineLstm(store, stats, seq.sensor_dims)
-    _observed_rows(used, seq, range(500))
+    observed_rows(used, seq, range(500))
     used.reset()
     fresh = lstm.OnlineLstm(store, stats, seq.sensor_dims)
     for (t, pred, posterior), (want_t, want_pred, want_posterior) in zip(
-            _observed_rows(used, seq, range(500, 1000)),
-            _observed_rows(fresh, seq, range(500, 1000))):
+            observed_rows(used, seq, range(500, 1000)),
+            observed_rows(fresh, seq, range(500, 1000))):
         assert (t, pred) == (want_t, want_pred)
         assert np.array_equal(posterior, want_posterior)
 

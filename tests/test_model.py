@@ -1,10 +1,11 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import central_difference, f_ops, max_rel_err
+from helpers import central_difference, f_ops, max_rel_err, observed_rows
 from inode import engine as en
 from inode import model
 from inode.preprocess import Batch, TimeStats, normalize_dt, normalize_sequence
@@ -284,6 +285,37 @@ def test_online_posterior_sums_to_one():
     for event in seq:
         _, posterior = clf.observe(event)
         assert abs(posterior.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("state_dim, learnable_h0", [(30, False), (7, True)])
+def test_replay_rows_equal_observe_within_the_contract(state_dim, learnable_h0):
+    """The replay splits FC2, so its posteriors agree with ``observe``
+    within 1e-9; timestamps and arg-max are the same.  It leaves the
+    session's state as it was."""
+    rng = np.random.default_rng(70 + state_dim)
+    store = model.init_params(rng, 4, state_dim=state_dim, learnable_h0=learnable_h0)
+    if learnable_h0:
+        store["h0"] = rng.uniform(-0.5, 0.5, store["h0"].shape)
+    seq = moving_dot(3, seed=state_dim, n_events=1000, noise_rate=0.2)
+    stats = TimeStats(dq=100.0)
+    want = observed_rows(model.OnlineClassifier(store, stats, seq.sensor_dims), seq,
+                          range(len(seq)))
+    fresh = model.OnlineClassifier(store, stats, seq.sensor_dims)
+    # a session whose step buffers hold another recording's values
+    used = model.OnlineClassifier(store, stats, seq.sensor_dims)
+    observed_rows(used, moving_dot(1, seed=state_dim + 1, n_events=300), range(300))
+    used.reset()
+    for session, chunk in itertools.product((fresh, used), (1, 255, 256, 300, 4096)):
+        before = session.state.copy()
+        chunks = [list(rows) for rows in session.replay(seq, chunk=chunk)]
+        assert np.array_equal(session.state, before)
+        assert [len(rows) for rows in chunks] == [chunk] * (1000 // chunk) + (
+            [1000 % chunk] if 1000 % chunk else [])
+        got = [row for rows in chunks for row in rows]
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        err = max(np.abs(np.subtract(row[2], want_row[2])).max()
+                  for row, want_row in zip(got, want))
+        assert err < 1e-9, (chunk, err)
 
 
 def test_timestamp_regression_clamps_with_warning():

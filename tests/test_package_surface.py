@@ -1,11 +1,13 @@
-"""Every public function, class, method and field of the package is used by the program.
+"""Every public function, class, constant, method and field of the package
+is used by the program.
 
-A top-level ``def`` or ``class`` in ``src/inode`` counts as used when code
-under ``src/inode``, ``bench/`` or ``demos/`` names it: as a name, an
-attribute, an import, or a dotted string such as the benchmark's tracing
-targets.  A public method or annotated field of a public class counts as
-used when that code reads it as an attribute or names it in a dotted
-string; a constructor keyword is not a read.  Its own definition and the
+A top-level ``def`` or ``class`` in ``src/inode``, or a module-level
+UPPER_CASE constant, counts as used when code under ``src/inode``,
+``bench/`` or ``demos/`` names it: as a name read, an attribute, an
+import, or a dotted string such as the benchmark's tracing targets.  A
+public method or annotated field of a public class counts as used when
+that code reads it as an attribute or names it in a dotted string; a
+constructor keyword is not a read.  Its own definition and the
 re-exports of ``__init__.py`` do not count.  What only tests need is on
 ``KEEP``, with the reason it stays.  The files are parsed from their text,
 so nothing is written to ``bench/``.
@@ -40,7 +42,7 @@ def _references(path):
     dotted-string parts."""
     names, attributes = set(), set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -55,11 +57,22 @@ def _references(path):
     return names, attributes
 
 
+def _constants(node):
+    """The UPPER_CASE names a module-level assignment defines."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [target.id for target in targets
+            if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)]
+
+
 def _public_definitions():
-    """``(qualified name, is a member)`` of every public top-level definition,
-    and of every public method and annotated field of a public class."""
+    """``(qualified name, is a member)`` of every public top-level definition
+    and constant, and of every public method and annotated field of a
+    public class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
+            for name in _constants(node):
+                yield f"{path.stem}.{name}", False
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue

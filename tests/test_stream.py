@@ -12,7 +12,7 @@ from inode.checkpoint import Checkpoint, save_checkpoint, load_checkpoint
 from inode.preprocess import TimeStats
 from inode.synth import moving_dot
 from inode.errors import DatasetError
-from inode.events import write_aer
+from inode.events import EventSequence, write_aer
 
 
 def _ckpt(n_classes=2, seed=0, kind="inode", state_dim=30, learnable_h0=False):
@@ -337,11 +337,37 @@ def test_fast_replay_text_does_not_depend_on_the_chunk_size(kind):
     ckpt = _ckpt(seed=21, n_classes=3, kind=kind, state_dim=6 if kind == "lstm" else 30)
     seq = moving_dot(1, seed=22, n_events=2000, noise_rate=0.2)
     texts = set()
-    for chunk in (1, 7, 4096):
+    for chunk in (1, 7, 256, 300, 4096):
         out = io.StringIO()
         stream.fast_replay(seq, ckpt, out, chunk=chunk)
         texts.add(out.getvalue())
     assert len(texts) == 1
+
+
+def _state(session):
+    state = session.state
+    return [a.copy() for a in (state if isinstance(state, tuple) else (state,))]
+
+
+@pytest.mark.parametrize("kind, tolerance", [("inode", 1e-9), ("lstm", 0.0)])
+def test_replay_continues_a_session_in_mid_stream(kind, tolerance):
+    """A replay starts from the session's state, as ``observe`` would go
+    on with a zero first gap, and leaves the session as it was."""
+    ckpt = _ckpt(seed=31, n_classes=3, kind=kind, state_dim=6)
+    head = moving_dot(0, seed=32, n_events=200, noise_rate=0.2)
+    tail = moving_dot(1, seed=33, n_events=600, noise_rate=0.2)
+    # the tail's first event at the head's last timestamp: a zero first gap
+    tail = EventSequence(tail.xs, tail.ys, tail.ps, tail.ts - tail.ts[0] + head.ts[-1])
+    session, reference = stream.make_session(ckpt), stream.make_session(ckpt)
+    for online in (session, reference):
+        for event in head:
+            online.observe(event)
+    before = _state(session)
+    got = [row for rows in session.replay(tail, chunk=256) for row in rows]
+    assert all(map(np.array_equal, _state(session), before))
+    want = [(event.t, *reference.observe(event)) for event in tail]
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    assert max(np.abs(np.subtract(g[2], w[2])).max() for g, w in zip(got, want)) <= tolerance
 
 
 class _Discard:
@@ -350,13 +376,14 @@ class _Discard:
 
 
 # tracemalloc's peak of the replay below before the LSTM replay took its
-# input products and read-outs in blocks (numpy 2.4.6, Python 3.11)
+# input products and read-outs in broadcast products (numpy 2.4.6, Python 3.11)
 LSTM_REPLAY_PEAK = 1_556_369
 
 
 def test_lstm_fast_replay_peak_memory():
-    """The block buffers of the default-chunk LSTM replay (H = 72) add
-    less than 1 MB; a whole chunk's input projection would add 9 MB."""
+    """The chunk buffers of the default 256-event LSTM replay (H = 72) add
+    less than 1 MB; the input projection of a 4,096-event chunk would add
+    9 MB."""
     import tracemalloc
     ckpt = _ckpt(seed=23, kind="lstm", state_dim=72)
     seq = moving_dot(0, seed=24, n_events=2 ** 14, noise_rate=0.1)
