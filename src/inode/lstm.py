@@ -121,7 +121,13 @@ class _Cell:
         h_out *= o
 
     def step(self, state, u, tape=None):
-        """``lstm_step`` with this cell's weights."""
+        """Standard LSTM cell: sigmoid gates, tanh candidate and output.
+
+        On a tape the step records two fused ops, the new c and h.  Their
+        hand-derived adjoints keep only u, h, c and the four gate
+        activations, and follow the generic ops' adjoints product for
+        product and in their order.
+        """
         h, c = state
         hv, cv = _val(h), _val(c)
         if tape is None and self.single_row:
@@ -161,27 +167,6 @@ class _Cell:
         return h_node, c_node
 
 
-def lstm_step(state, u, store, tape=None, prefix="fwd"):
-    """Standard LSTM cell: sigmoid gates, tanh candidate and output.
-
-    On a tape the step records two fused ops, the new cell state c and
-    the new output h.  Their hand-derived adjoints keep only u, h, c and
-    the four gate activations of the step (the h adjoint recomputes
-    tanh(c)), and follow the generic ops' adjoints product for product
-    and in their order, so the gradients equal those of the cell spelled
-    out in engine ops.
-    """
-    return _Cell(store, prefix, len(u)).step(state, u, tape)
-
-
-def _window_cell(cell, store, prefix, rows):
-    """``cell`` as a function of (state, u, tape); the fused cell binds its
-    weights once for the window."""
-    if cell is lstm_step:
-        return _Cell(store, prefix, rows).step
-    return lambda state, u, tape: cell(state, u, store, tape, prefix=prefix)
-
-
 def _zero_state(b, hidden, tape):
     h = np.zeros((b, hidden))
     c = np.zeros((b, hidden))
@@ -190,16 +175,14 @@ def _zero_state(b, hidden, tape):
     return tape.const(h), tape.const(c)
 
 
-def forward(batch, store, tape=None, cell=lstm_step, *, final_only=False):
+def forward(batch, store, tape=None, *, final_only=False):
     """The window's pass, bidirectional when the store is (unidirectional:
     a read-out and loss after every step, or with ``final_only`` one
-    read-out of the final state and no loss, see ``model.unroll``).
-    ``cell`` may replace the fused cell for tests, as a function with the
-    signature of ``lstm_step``."""
+    read-out of the final state and no loss, see ``model.unroll``)."""
     if is_bidirectional(store):
-        return forward_bidirectional(batch, store, tape, cell, final_only=final_only)
+        return forward_bidirectional(batch, store, tape, final_only=final_only)
     feats = batch.features_with_dt()
-    cell = _window_cell(cell, store, "fwd", batch.size)
+    cell = _Cell(store, "fwd", batch.size).step  # binds its weights once for the window
 
     def step(state, i):
         return cell(state, feats[:, i, :], tape)
@@ -208,15 +191,18 @@ def forward(batch, store, tape=None, cell=lstm_step, *, final_only=False):
                   tape, hidden=lambda state: state[0], final_only=final_only)
 
 
-def forward_bidirectional(batch, store, tape=None, cell=lstm_step, final_only=False):
+def forward_bidirectional(batch, store, tape=None, cell=None, final_only=False):
     """Both directions over the whole window; classify the joined final
-    states (no loss with ``final_only``)."""
+    states (no loss with ``final_only``).  ``cell(prefix)`` may replace a
+    direction's ``_Cell`` step for tests: ``model.unroll`` has no final-only
+    loss, so their reference would otherwise copy this loop."""
     feats = batch.features_with_dt()
     b, s = batch.size, batch.steps
     hidden = hidden_dim_of(store)
     fwd = _zero_state(b, hidden, tape)
     bwd = _zero_state(b, hidden, tape)
-    fwd_cell, bwd_cell = (_window_cell(cell, store, prefix, b) for prefix in ("fwd", "bwd"))
+    fwd_cell, bwd_cell = (_Cell(store, prefix, b).step if cell is None else cell(prefix)
+                          for prefix in ("fwd", "bwd"))
     for i in range(s):
         fwd = fwd_cell(fwd, feats[:, i, :], tape)
         bwd = bwd_cell(bwd, feats[:, s - 1 - i, :], tape)
@@ -229,10 +215,10 @@ def forward_bidirectional(batch, store, tape=None, cell=lstm_step, final_only=Fa
     return ForwardResult(logits=_val(z)[:, None, :], loss_node=loss_node)
 
 
-def backward_bptt(batch, store, cell=lstm_step):
+def backward_bptt(batch, store):
     """Exact gradients of the window loss for every parameter."""
     tape = en.Tape()
-    return gradients(tape, forward(batch, store, tape=tape, cell=cell))
+    return gradients(tape, forward(batch, store, tape=tape))
 
 
 class OnlineLstm(OnlineSession):

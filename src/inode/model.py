@@ -4,6 +4,7 @@ The latent state follows h' = f(h, u) with a small MLP for f,
 
     f(h, u) = FC3(tanh(FC2(tanh([FC1(h), FCu(u)]))))
 
+(FC2 computed as the sum of its two row halves' products, see ``_Step``),
 integrated by explicit Euler steps sized by the normalized inter-event
 gaps, with a linear read-out g(h) = FCc(h) after every step.  Training
 runs the whole window on a tape and differentiates it exactly (standard
@@ -18,12 +19,14 @@ import numpy as np
 
 from . import engine as en
 from .params import init_store
-from .preprocess import (CLAMP_WARNING, REGRESSION_WARNING, clamped_input, normalize_dt,
-                         normalize_events)
+from .preprocess import CLAMP_WARNING, REGRESSION_WARNING, clamped_input, normalize_dt
 
 STATE_DIM = 30
 WIDTH = 128
 FEATURES = 3
+# the most pixel-polarity rows of a replay's projection table, 4 MB at the
+# default width; a 34 x 34 sensor has 2,312
+_TABLE_ROWS = 1 << 12
 
 
 def layout(n_classes, state_dim, width, learnable_h0):
@@ -56,13 +59,15 @@ def _binder(store, tape):
 class _Step:
     """The fused Euler step of one store, the weights of f bound once.
 
-    Every step runs the same operations in the same order: FC1 and FCu
-    write the two halves of the hidden layer, then tanh, FC2 and FC3 run
-    with in-place bias adds.  A batch gets fresh arrays per step, which
-    its tape keeps for the adjoint.  A single-row step (``single_row=True``,
-    the live path) reuses one set of buffers and fills them with
-    ``np.dot``, which costs less per call than ``np.matmul`` and gives the
-    same bits; it must not run on a tape nor be shared between threads.
+    FC2 runs split, ``tanh(FC1 h) W2_top + P(u)`` with the projection
+    ``P(u) = tanh(FCu u) W2_bot + b2`` over the row halves of ``fc2_w``, so
+    a replay can run ``P`` once per pixel and polarity and still equal the
+    live path bit for bit.  Biases are added in place.  A batch gets fresh
+    arrays per step, which its tape keeps for the adjoint.  A single-row
+    step (``single_row=True``, the live path) reuses one set of buffers and
+    fills them with ``np.dot``, which costs less per call than
+    ``np.matmul`` and gives the same bits; it must not run on a tape nor
+    be shared between threads.
     """
 
     def __init__(self, store, single_row=False):
@@ -70,6 +75,7 @@ class _Step:
         self.w1, self.b1 = store["fc1_w"], store["fc1_b"]
         self.wu, self.bu = store["fcu_w"], store["fcu_b"]
         self.w2, self.b2 = store["fc2_w"], store["fc2_b"]
+        self.w2_top, self.w2_bot = np.split(self.w2, 2)
         self.w3, self.b3 = store["fc3_w"], store["fc3_b"]
         self._dot = np.dot if single_row else np.matmul
         self._buffers = self._empty(1) if single_row else None
@@ -78,20 +84,28 @@ class _Step:
         width = self.w1.shape[1]
         hidden = np.empty((rows, 2 * width))
         return (hidden, hidden[:, :width], hidden[:, width:], np.empty((rows, width)),
-                np.empty((rows, self.w3.shape[1])))
+                np.empty((rows, width)), np.empty((rows, self.w3.shape[1])))
+
+    def project(self, u, tanh_u, out):
+        """``P(u)`` into ``out``, ``tanh(FCu u)`` into ``tanh_u``."""
+        dot = self._dot
+        dot(u, self.wu, out=tanh_u)
+        tanh_u += self.bu
+        np.tanh(tanh_u, out=tanh_u)
+        dot(tanh_u, self.w2_bot, out=out)
+        out += self.b2
 
     def layers(self, h, u):
         """``(hidden, act, f(h, u))`` for rows of plain arrays: the two
         tanh activations and the state derivative."""
-        hidden, lo, hi, act, dh = self._buffers or self._empty(len(h))
+        hidden, lo, hi, top, act, dh = self._buffers or self._empty(len(h))
         dot = self._dot
+        self.project(u, hi, act)
         dot(h, self.w1, out=lo)
         lo += self.b1
-        dot(u, self.wu, out=hi)
-        hi += self.bu
-        np.tanh(hidden, out=hidden)
-        dot(hidden, self.w2, out=act)
-        act += self.b2
+        np.tanh(lo, out=lo)
+        dot(lo, self.w2_top, out=top)
+        act += top
         np.tanh(act, out=act)
         dot(act, self.w3, out=dh)
         dh += self.b3
@@ -204,38 +218,37 @@ def gradients(tape, result):
     return en.backward(tape, result.loss_node), result.loss
 
 
-def forward(batch, store, dynamics=None, tape=None, *, final_only=False):
+def _initial_state(store, rows, tape):
+    """The [rows x state] start of a window: ``h0`` when learnable, else zeros."""
+    h = np.zeros((rows, state_dim_of(store)))
+    if "h0" in store:
+        return en.add(h, _binder(store, tape)("h0"))
+    return h if tape is None else tape.const(h)
+
+
+def forward(batch, store, *, tape=None, final_only=False):
     """Run the full window: S Euler steps, a read-out and loss after each
     (``final_only``: one read-out of the final state, see ``unroll``).
 
     With a tape, the returned loss node supports exact gradients via
-    ``engine.backward``.  ``tape`` stays the fourth parameter, where the
-    benchmark's span namer looks for it when it is passed by position.
+    ``engine.backward``.
     """
-    b, n = batch.size, state_dim_of(store)
-    if "h0" in store:
-        p = _binder(store, tape)
-        h = en.add(np.zeros((b, n)), p("h0"))
-    else:
-        h = np.zeros((b, n)) if tape is None else tape.const(np.zeros((b, n)))
-
-    # the fused step binds its weights once for the window
-    advance = (_Step(store).step if dynamics is None
-               else lambda h, u, dtau, tape: euler_step(h, u, dtau, store, tape, dynamics))
+    advance = _Step(store).step  # binds its weights once for the window
 
     def step(h, i):
         return advance(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], tape)
 
-    return unroll(batch, store, h, step, tape, final_only=final_only)
+    return unroll(batch, store, _initial_state(store, batch.size, tape), step, tape,
+                  final_only=final_only)
 
 
-def backward_bptt(batch, store, dynamics=None):
+def backward_bptt(batch, store):
     """Exact gradients of the mean window loss for every parameter.
 
     Returns ``(grads, loss)`` with one gradient array per store entry.
     """
     tape = en.Tape()
-    return gradients(tape, forward(batch, store, tape=tape, dynamics=dynamics))
+    return gradients(tape, forward(batch, store, tape=tape))
 
 
 class OnlineSession:
@@ -299,18 +312,19 @@ class OnlineSession:
 
     def replay(self, seq, chunk):
         """(timestamp, class, posterior) of each event of a decoded
-        recording, as ``observe`` would give them from this session's state
-        with a zero first gap: one iterable of them per ``chunk`` events.
-        The session's own state is left as it is.
+        recording, bit for bit as ``observe`` would give them from this
+        session's state with a zero first gap: one iterable of them per
+        ``chunk`` events.  The session's own state is left as it is.
 
         The kind's ``_recursion(seq, states)`` puts the session's state in
         row 0 of ``states`` and returns ``fill(lo, hi, gaps)``, which writes
-        the states after events ``lo:hi`` into the rows after it.  Each
-        chunk is read out in one broadcast product, one single-row product
-        per state as ``_predict`` runs it (a gemm rounds a row by its
-        neighbours), so the text does not depend on ``chunk``, and memory
-        grows with ``chunk``, not with the recording.  ``EventSequence``
-        refuses decreasing timestamps, so no gap needs clamping.
+        the states after events ``lo:hi`` into the rows after it, each
+        equal to ``observe``'s.  Each chunk is read out in one broadcast
+        product, one single-row product per state as ``_predict`` runs it
+        (a gemm rounds a row by its neighbours), so the text does not
+        depend on ``chunk``, and memory grows with ``chunk``, not with the
+        recording.  ``EventSequence`` refuses decreasing timestamps, so no
+        gap needs clamping.
         """
         wc, bc, stats = self._wc, self._bc, self.stats
         # row 0 holds the state before a chunk, row k + 1 the state after its event k
@@ -351,8 +365,7 @@ class OnlineClassifier(OnlineSession):
 
     def reset(self):
         super().reset()
-        self.state = (self.store["h0"].copy() if "h0" in self.store
-                      else np.zeros((1, state_dim_of(self.store))))
+        self.state = _initial_state(self.store, 1, None)
         self._held_u = None
 
     def observe(self, event):
@@ -364,21 +377,35 @@ class OnlineClassifier(OnlineSession):
         return self._predict(self.state)
 
     def _recursion(self, seq, states):
-        """The split-FC2 recursion; the recording's first event only reads out.
-
-        FC2 is split, tanh(FC1 h) W2_top + (tanh(FCu u) W2_bot + b2), so that
-        the input half runs once per distinct input of a chunk
-        (``_held_projection``).  That groups its sum differently from
-        ``observe``: timestamps and arg-max are the same, the posteriors
-        agree within 1e-9, not bit for bit.
+        """``observe``'s step per event; the recording's first event only
+        reads out.  ``P(u)`` depends on an event's pixel and polarity alone:
+        one table row each, filled on first use by ``observe``'s single-row
+        ``_Step.project``, serves the whole replay (past ``_TABLE_ROWS`` of
+        them, the table holds a chunk's events).  The rest of the step runs
+        on 1-D rows, with ``_Step``'s products and sums in its order; a 1-D
+        ``np.dot`` has the bits of the [1 x n] one.
         """
-        store = self.store
-        w1, b1 = store["fc1_w"], store["fc1_b"][0]
-        wu, bu = store["fcu_w"], store["fcu_b"][0]
-        w2_top, w2_bot = map(np.ascontiguousarray, np.split(store["fc2_w"], 2))
-        b2 = store["fc2_b"][0]
-        w3, b3 = store["fc3_w"], store["fc3_b"][0]
+        step, dims = self._step, seq.sensor_dims
+        w1, b1, w2_top, w3, b3 = step.w1, step.b1[0], step.w2_top, step.w3, step.b3[0]
+        n_keys = 2 * dims[0] * dims[1]
+        per_event = n_keys > _TABLE_ROWS
+        table = np.empty((len(states) if per_event else n_keys, w1.shape[1]))
+        filled, tanh_u = np.zeros(len(table), dtype=bool), np.empty((1, w1.shape[1]))
         states[0] = self.state
+
+        def projections(lo, hi):
+            if per_event:
+                keys = np.arange(hi - lo)
+                filled[:] = False
+            else:
+                keys = (seq.xs[lo:hi] * dims[1] + seq.ys[lo:hi]) * 2 + seq.ps[lo:hi]
+            for k in np.flatnonzero(~filled[keys]).tolist():
+                key = keys[k]
+                if not filled[key]:  # a key new to the table may recur in the chunk
+                    u = np.array([clamped_input(seq.event(lo + k), dims)[0]])
+                    step.project(u, tanh_u, table[key:key + 1])
+                    filled[key] = True
+            return table[keys]
 
         # the per-event calls are bound locally and given their outputs by
         # position, which costs less per call than a global and a keyword
@@ -389,10 +416,10 @@ class OnlineClassifier(OnlineSession):
             if lead:
                 states[1] = states[0]
             # event i advances across the gap since event i-1 with the
-            # input held from it, so the projection starts one event early
-            proj = self._held_projection(seq, lo - 1 + lead, hi, wu, bu, w2_bot, b2)
+            # input held from it, so the projections start one event early
+            held_rows = projections(lo - 1 + lead, hi - 1)
             h = states[0, 0]
-            for out, held, gap in zip(states[1 + lead:hi - lo + 1, 0], proj, gaps.tolist()):
+            for out, held, gap in zip(states[1 + lead:hi - lo + 1, 0], held_rows, gaps.tolist()):
                 dot(h, w1, s_buf)
                 add(s_buf, b1, s_buf)
                 tanh(s_buf, s_buf)
@@ -405,21 +432,3 @@ class OnlineClassifier(OnlineSession):
                 h = add(h, d_buf, out)
 
         return fill
-
-    @staticmethod
-    def _held_projection(seq, lo, hi, wu, bu, w2_bot, b2):
-        """tanh(FCu u) W2_bot + b2 for the inputs u of events ``lo:hi``.
-
-        The projection depends on an event's pixel and polarity alone, so
-        it runs once per distinct one among them (about 50 of 256 events on
-        a 34 x 34 moving-dot recording), at least two rows at a time:
-        numpy gives a one-row product to another BLAS kernel, with other
-        rounding.  Each row then equals its row of the same product over
-        the whole recording.
-        """
-        xs, ys, ps = seq.xs[lo:hi], seq.ys[lo:hi], seq.ps[lo:hi]
-        _, rows, inverse = np.unique((xs * seq.sensor_dims[1] + ys) * 2 + ps,
-                                     return_index=True, return_inverse=True)
-        rows = np.resize(rows, max(len(rows), 2))
-        u = normalize_events(xs[rows], ys[rows], ps[rows], seq.sensor_dims)
-        return (np.tanh(u @ wu + bu) @ w2_bot + b2)[inverse]

@@ -134,12 +134,13 @@ def replay_events(seq, session, outfile, pace=True):
 
 
 def fast_replay(seq, ckpt, outfile, chunk=256):
-    """Full-speed replay, writing the lines the per-event session would.
+    """Full-speed replay, writing the lines the per-event session would,
+    byte for byte.
 
     The checkpoint's session replays the whole recording (see
     ``model.OnlineSession.replay``), which must be on the checkpoint's
-    sensor, ``chunk`` events at a time, so memory grows with ``chunk``,
-    not with the recording.
+    sensor, ``chunk`` events at a time, so memory grows with ``chunk``
+    (plus INODE's fixed projection table), not with the recording.
     Returns (events, seconds): the seconds cover all the work done chunk
     by chunk (the features, the recursion, the read-outs and the
     formatting), and not the session's set-up.

@@ -5,6 +5,7 @@ import io
 import numpy as np
 
 from inode import engine as en
+from inode import lstm, model
 from inode.params import MAGIC, read_records
 
 
@@ -72,28 +73,56 @@ def cross_entropy_direct(logits, labels):
     return float(np.mean(losses)), np.array(probs)
 
 
+def row_slice(x, lo, hi):
+    """Rows ``lo:hi`` of a matrix as an engine op, which the engine does not
+    have: its adjoint scatters the gradient back into the whole matrix."""
+    value = x.value if isinstance(x, en.Node) else x
+    out = value[lo:hi]
+    if not isinstance(x, en.Node):
+        return out
+
+    def grad_fn(g):
+        full = np.zeros_like(value)
+        full[lo:hi] = g
+        return (full,)
+
+    return x.tape.record(out, (x,), grad_fn)
+
+
 def f_ops(h, u, store, tape=None):
-    """The INODE dynamics f(h, u) composed from generic engine ops.
+    """The INODE dynamics f(h, u) composed from generic engine ops, FC2
+    split as the program runs it: ``tanh(FC1 h) W2_top + P(u)`` with
+    ``P(u) = tanh(FCu u) W2_bot + b2``, the halves row slices of ``fc2_w``.
 
     Passed as ``dynamics=`` it makes ``model.euler_step`` record every
-    matmul, add, concat and tanh on the tape: the reference for the
+    matmul, add, row slice and tanh on the tape: the reference for the
     fused step's hand-derived adjoint.
     """
     p = store.__getitem__ if tape is None else (lambda n: tape.param(n, store[n]))
-    a = en.concat(
-        en.add(en.matmul(h, p("fc1_w")), p("fc1_b")),
-        en.add(en.matmul(u, p("fcu_w")), p("fcu_b")),
-    )
-    a = en.tanh(en.add(en.matmul(en.tanh(a), p("fc2_w")), p("fc2_b")))
+    width = store["fc1_w"].shape[1]
+    w2 = p("fc2_w")
+    proj = en.add(en.matmul(en.tanh(en.add(en.matmul(u, p("fcu_w")), p("fcu_b"))),
+                            row_slice(w2, width, 2 * width)), p("fc2_b"))
+    top = en.matmul(en.tanh(en.add(en.matmul(h, p("fc1_w")), p("fc1_b"))),
+                    row_slice(w2, 0, width))
+    a = en.tanh(en.add(top, proj))
     return en.add(en.matmul(a, p("fc3_w")), p("fc3_b"))
 
 
-def lstm_ops(state, u, store, tape=None, prefix="fwd"):
-    """The LSTM cell composed from generic engine ops.
+def inode_ops_forward(batch, store, tape=None):
+    """``model.forward`` with f spelled in generic engine ops:
+    ``model.euler_step`` with ``dynamics=f_ops``, run by ``model.unroll``."""
+    def step(h, i):
+        return model.euler_step(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], store, tape,
+                                dynamics=f_ops)
 
-    Passed as ``cell=`` it makes the LSTM record every matmul, add, mul,
-    sigmoid and tanh on the tape: the reference for ``lstm.lstm_step``'s
-    hand-derived adjoints.
+    return model.unroll(batch, store, model._initial_state(store, batch.size, tape), step, tape)
+
+
+def lstm_ops(state, u, store, tape=None, prefix="fwd"):
+    """The LSTM cell composed from generic engine ops: the reference for
+    ``lstm._Cell.step``'s hand-derived adjoints, recording every matmul,
+    add, mul, sigmoid and tanh on the tape.
     """
     h, c = state
     p = store.__getitem__ if tape is None else (lambda n: tape.param(n, store[n]))
@@ -109,6 +138,26 @@ def lstm_ops(state, u, store, tape=None, prefix="fwd"):
     o = en.sigmoid(gate("o"))
     c_new = en.add(en.mul(f, c), en.mul(i, g))
     return en.mul(o, en.tanh(c_new)), c_new
+
+
+def lstm_ops_forward(batch, store, tape=None):
+    """``lstm.forward`` with the cell ``lstm_ops``: run by ``model.unroll``,
+    or for a bidirectional store by ``lstm.forward_bidirectional``."""
+    def cell(prefix):
+        return lambda state, u, tape: lstm_ops(state, u, store, tape, prefix)
+
+    if lstm.is_bidirectional(store):
+        return lstm.forward_bidirectional(batch, store, tape, cell=cell)
+    feats, step = batch.features_with_dt(), cell("fwd")
+    state = lstm._zero_state(batch.size, lstm.hidden_dim_of(store), tape)
+    return model.unroll(batch, store, state, lambda state, i: step(state, feats[:, i, :], tape),
+                        tape, hidden=lambda state: state[0])
+
+
+def ops_gradients(forward, batch, store):
+    """``(grads, loss)`` of a reference forward pass, as ``backward_bptt`` gives them."""
+    tape = en.Tape()
+    return model.gradients(tape, forward(batch, store, tape))
 
 
 def sigmoid_masked(x):

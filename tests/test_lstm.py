@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import central_difference, lstm_ops, max_rel_err, observed_rows
+from helpers import (central_difference, lstm_ops, lstm_ops_forward, max_rel_err,
+                     observed_rows, ops_gradients)
 from inode import engine as en
 from inode import lstm
 from inode.preprocess import Batch, TimeStats, make_batch
@@ -30,7 +31,7 @@ def test_zero_weights_give_zero_hidden_state():
     for name in store.names():
         store[name][:] = 0.0
     state = (np.zeros((2, 5)), np.zeros((2, 5)))
-    h, c = lstm.lstm_step(state, np.ones((2, 4)), store)
+    h, c = lstm._Cell(store, "fwd", 2).step(state, np.ones((2, 4)))
     assert np.array_equal(h, np.zeros((2, 5)))
     assert np.array_equal(c, np.zeros((2, 5)))
 
@@ -42,7 +43,7 @@ def test_saturated_forget_gate_preserves_cell():
             store[name][:] = 0.0
     store["fwd_bf"][:] = 10.0
     c0 = np.random.default_rng(2).uniform(-1, 1, (3, 5))
-    _, c1 = lstm.lstm_step((np.zeros((3, 5)), c0), np.ones((3, 4)), store)
+    _, c1 = lstm._Cell(store, "fwd", 3).step((np.zeros((3, 5)), c0), np.ones((3, 4)))
     assert np.abs(c1 - c0).max() < 1e-4
 
 
@@ -67,7 +68,7 @@ def test_single_step_window_equals_one_cell_application():
     batch = _batch(seed=8, s=1)
     res = lstm.forward(batch, store)
     feats = batch.features_with_dt()
-    h, _ = lstm.lstm_step((np.zeros((2, 5)), np.zeros((2, 5))), feats[:, 0, :], store)
+    h, _ = lstm._Cell(store, "fwd", 2).step((np.zeros((2, 5)), np.zeros((2, 5))), feats[:, 0, :])
     z = lstm.classify(h, store)
     assert np.array_equal(res.logits[:, 0, :], z)
 
@@ -78,9 +79,10 @@ def test_bidirectional_palindrome_symmetry():
     full = np.tile(np.array([0.3, -0.2, 1.0, 0.5]), (2, 6, 1))
     fwd = (np.zeros((2, 5)), np.zeros((2, 5)))
     bwd = (np.zeros((2, 5)), np.zeros((2, 5)))
+    cell = lstm._Cell(store, "fwd", 2).step
     for i in range(6):
-        fwd = lstm.lstm_step(fwd, full[:, i, :], store, prefix="fwd")
-        bwd = lstm.lstm_step(bwd, full[:, 5 - i, :], store, prefix="fwd")
+        fwd = cell(fwd, full[:, i, :])
+        bwd = cell(bwd, full[:, 5 - i, :])
     assert np.abs(fwd[0] - bwd[0]).max() < 1e-12
 
 
@@ -223,7 +225,7 @@ def test_fused_cell_gradients_equal_generic_tape(case):
         store[name][:] = 0.0 if case == "zero_weights" else rng.uniform(-0.8, 0.8, store[name].shape)
     batch = _batch(seed=19, b=5, s=1 if case == "one_step" else 7)
     fused, fused_loss = lstm.backward_bptt(batch, store)
-    generic, generic_loss = lstm.backward_bptt(batch, store, cell=lstm_ops)
+    generic, generic_loss = ops_gradients(lstm_ops_forward, batch, store)
     assert fused_loss == generic_loss
     assert list(fused) == list(generic)
     assert sorted(fused) == sorted(store.names())
@@ -238,11 +240,11 @@ def test_fused_cell_forward_equals_generic_ops_bitwise(bidirectional):
     batch = _paper_batch(seed=21, b=20, s=30)
     run = lstm.forward_bidirectional if bidirectional else lstm.forward
     fused = run(batch, store, tape=en.Tape())
-    generic = run(batch, store, tape=en.Tape(), cell=lstm_ops)
+    generic = lstm_ops_forward(batch, store, en.Tape())
     assert np.array_equal(fused.logits, generic.logits)
     assert fused.loss == generic.loss
     assert np.array_equal(fused.logits, run(batch, store).logits)
-    assert np.array_equal(fused.logits, run(batch, store, cell=lstm_ops).logits)
+    assert np.array_equal(fused.logits, lstm_ops_forward(batch, store).logits)
 
 
 @pytest.mark.parametrize("hidden, bidirectional", [(5, False), (72, False), (6, True)])
@@ -253,14 +255,15 @@ def test_fused_cell_with_biases_equals_generic_ops_bitwise(hidden, bidirectional
         store[name][:] = rng.uniform(-0.8, 0.8, store[name].shape)
     batch = _paper_batch(seed=28, b=20, s=30)
     fused = lstm.forward(batch, store, tape=en.Tape())
-    generic = lstm.forward(batch, store, tape=en.Tape(), cell=lstm_ops)
+    generic = lstm_ops_forward(batch, store, en.Tape())
     assert np.array_equal(fused.logits, generic.logits)
     assert fused.loss == generic.loss
     # a single row takes the online session's path through the cell
     row = batch.features_with_dt()[:1]
     fused = generic = (np.zeros((1, hidden)), np.zeros((1, hidden)))
+    cell = lstm._Cell(store, "fwd", 1).step
     for i in range(row.shape[1]):
-        fused = lstm.lstm_step(fused, row[:, i, :], store)
+        fused = cell(fused, row[:, i, :])
         generic = lstm_ops(generic, row[:, i, :], store)
     assert np.array_equal(fused[0], generic[0])
     assert np.array_equal(fused[1], generic[1])

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import central_difference, f_ops, max_rel_err, observed_rows
+from helpers import (central_difference, inode_ops_forward, max_rel_err, observed_rows,
+                     ops_gradients)
 from inode import engine as en
 from inode import model
 from inode.preprocess import Batch, TimeStats, normalize_dt, normalize_sequence
@@ -187,7 +188,7 @@ def test_fused_step_gradients_equal_generic_tape(case):
     if case == "zero_dtaus":
         batch = Batch(batch.inputs, np.zeros_like(batch.dtaus), batch.labels)
     fused, fused_loss = model.backward_bptt(batch, store)
-    generic, generic_loss = model.backward_bptt(batch, store, dynamics=f_ops)
+    generic, generic_loss = ops_gradients(inode_ops_forward, batch, store)
     assert fused_loss == generic_loss
     assert sorted(fused) == sorted(generic) == sorted(store.names())
     for name, want in generic.items():
@@ -199,7 +200,7 @@ def test_fused_step_forward_equals_generic_ops_bitwise():
     store = model.init_params(np.random.default_rng(94), n_classes=10)
     batch = _paper_batch(seed=95, b=20, s=30)
     fused = model.forward(batch, store, tape=en.Tape())
-    generic = model.forward(batch, store, tape=en.Tape(), dynamics=f_ops)
+    generic = inode_ops_forward(batch, store, en.Tape())
     assert np.array_equal(fused.logits, generic.logits)
     assert np.array_equal(fused.logits, model.forward(batch, store).logits)
 
@@ -287,35 +288,51 @@ def test_online_posterior_sums_to_one():
         assert abs(posterior.sum() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("state_dim, learnable_h0", [(30, False), (7, True)])
-def test_replay_rows_equal_observe_within_the_contract(state_dim, learnable_h0):
-    """The replay splits FC2, so its posteriors agree with ``observe``
-    within 1e-9; timestamps and arg-max are the same.  It leaves the
-    session's state as it was."""
-    rng = np.random.default_rng(70 + state_dim)
-    store = model.init_params(rng, 4, state_dim=state_dim, learnable_h0=learnable_h0)
-    if learnable_h0:
-        store["h0"] = rng.uniform(-0.5, 0.5, store["h0"].shape)
-    seq = moving_dot(3, seed=state_dim, n_events=1000, noise_rate=0.2)
-    stats = TimeStats(dq=100.0)
-    want = observed_rows(model.OnlineClassifier(store, stats, seq.sensor_dims), seq,
-                          range(len(seq)))
+def _assert_replay_rows_equal_observe(store, seq, other):
+    """Replays of fresh and used-then-reset sessions at every chunk size
+    give ``observe``'s rows bit for bit and leave the session's state as
+    it was; ``other`` is a recording that the used session observed."""
+    stats, n = TimeStats(dq=100.0), len(seq)
+    want = observed_rows(model.OnlineClassifier(store, stats, seq.sensor_dims), seq, range(n))
     fresh = model.OnlineClassifier(store, stats, seq.sensor_dims)
     # a session whose step buffers hold another recording's values
     used = model.OnlineClassifier(store, stats, seq.sensor_dims)
-    observed_rows(used, moving_dot(1, seed=state_dim + 1, n_events=300), range(300))
+    observed_rows(used, other, range(len(other)))
     used.reset()
     for session, chunk in itertools.product((fresh, used), (1, 255, 256, 300, 4096)):
         before = session.state.copy()
         chunks = [list(rows) for rows in session.replay(seq, chunk=chunk)]
         assert np.array_equal(session.state, before)
-        assert [len(rows) for rows in chunks] == [chunk] * (1000 // chunk) + (
-            [1000 % chunk] if 1000 % chunk else [])
+        assert [len(rows) for rows in chunks] == [chunk] * (n // chunk) + (
+            [n % chunk] if n % chunk else [])
         got = [row for rows in chunks for row in rows]
-        assert [row[:2] for row in got] == [row[:2] for row in want]
-        err = max(np.abs(np.subtract(row[2], want_row[2])).max()
-                  for row, want_row in zip(got, want))
-        assert err < 1e-9, (chunk, err)
+        assert [row[:2] for row in got] == [row[:2] for row in want], chunk
+        assert all(np.array_equal(row[2], want_row[2]) for row, want_row in zip(got, want)), chunk
+
+
+@pytest.mark.parametrize("state_dim, learnable_h0", [(30, False), (7, True)])
+def test_replay_rows_equal_observe_bitwise(state_dim, learnable_h0):
+    """The replay takes each pixel and polarity's projection from its
+    table and runs the rest of ``observe``'s step per event."""
+    rng = np.random.default_rng(70 + state_dim)
+    store = model.init_params(rng, 4, state_dim=state_dim, learnable_h0=learnable_h0)
+    if learnable_h0:
+        store["h0"] = rng.uniform(-0.5, 0.5, store["h0"].shape)
+    seq = moving_dot(3, seed=state_dim, n_events=1000, noise_rate=0.2)
+    assert 2 * 34 * 34 <= model._TABLE_ROWS
+    _assert_replay_rows_equal_observe(store, seq, moving_dot(1, seed=state_dim + 1,
+                                                             n_events=300))
+
+
+def test_replay_past_the_table_cap_equals_observe_bitwise():
+    """On a sensor with more pixel-polarity pairs than the table holds,
+    the replay projects each event's input itself."""
+    dims = (346, 260)
+    assert 2 * dims[0] * dims[1] > model._TABLE_ROWS
+    store = model.init_params(np.random.default_rng(74), 3)
+    seq = moving_dot(2, seed=75, n_events=1000, noise_rate=0.2, sensor_dims=dims)
+    _assert_replay_rows_equal_observe(store, seq, moving_dot(0, seed=76, n_events=300,
+                                                             sensor_dims=dims))
 
 
 def test_timestamp_regression_clamps_with_warning():

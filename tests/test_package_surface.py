@@ -27,6 +27,9 @@ KEEP = {
                       "reference tapes in the tests are built from",
     "events.write_aer16": "the encoder of the AER16 format, the inverse that tests "
                           "round-trip parse_aer16 through",
+    "model.euler_step": "one Euler update whose f a test may replace: criterion 02 runs "
+                        "it on rigged linear dynamics, and the tests' generic-op "
+                        "reference of the window pass on f spelled in engine ops",
     "model.f_eval": "f(h, u) on plain arrays, which tests compare against a scalar "
                     "reimplementation",
     "synth.scale_coordinates": "the same scene on a finer grid, which tests use to show "
