@@ -381,24 +381,23 @@ class OnlineClassifier(OnlineSession):
         reads out.  ``P(u)`` depends on an event's pixel and polarity alone:
         one table row each, filled on first use by ``observe``'s single-row
         ``_Step.project``, serves the whole replay (past ``_TABLE_ROWS`` of
-        them, the table holds a chunk's events).  The rest of the step runs
-        on 1-D rows, with ``_Step``'s products and sums in its order; a 1-D
-        ``np.dot`` has the bits of the [1 x n] one.
+        them, the table holds the distinct pairs of one chunk).  The rest of
+        the step runs on 1-D rows, with ``_Step``'s products and sums in its
+        order; a 1-D ``np.dot`` has the bits of the [1 x n] one.
         """
         step, dims = self._step, seq.sensor_dims
         w1, b1, w2_top, w3, b3 = step.w1, step.b1[0], step.w2_top, step.w3, step.b3[0]
         n_keys = 2 * dims[0] * dims[1]
-        per_event = n_keys > _TABLE_ROWS
-        table = np.empty((len(states) if per_event else n_keys, w1.shape[1]))
+        per_chunk = n_keys > _TABLE_ROWS
+        table = np.empty((len(states) if per_chunk else n_keys, w1.shape[1]))
         filled, tanh_u = np.zeros(len(table), dtype=bool), np.empty((1, w1.shape[1]))
         states[0] = self.state
 
         def projections(lo, hi):
-            if per_event:
-                keys = np.arange(hi - lo)
+            keys = (seq.xs[lo:hi] * dims[1] + seq.ys[lo:hi]) * 2 + seq.ps[lo:hi]
+            if per_chunk:
+                keys = np.unique(keys, return_inverse=True)[1]
                 filled[:] = False
-            else:
-                keys = (seq.xs[lo:hi] * dims[1] + seq.ys[lo:hi]) * 2 + seq.ps[lo:hi]
             for k in np.flatnonzero(~filled[keys]).tolist():
                 key = keys[k]
                 if not filled[key]:  # a key new to the table may recur in the chunk

@@ -4,9 +4,10 @@
 ``inode`` module holds them, and reads the tape argument of the forward
 passes by keyword or position; ``bench/stream_work.py`` writes checkpoints
 with fixed keywords, looks up the spans of the functions it expects to be
-called and checks the replies against ``bench/oracles.py``.  A renamed target, a moved argument or a call that bypasses a
-module global breaks a benchmark run, so these tests check each of them.
-They read ``bench/`` and change nothing there.
+called and checks the replies against ``bench/oracles.py``.  A renamed
+target, a moved argument or a call that bypasses a module global breaks
+a benchmark run, so these tests check each of them.  They read
+``bench/`` and change nothing there.
 """
 
 import ast

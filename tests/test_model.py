@@ -326,7 +326,7 @@ def test_replay_rows_equal_observe_bitwise(state_dim, learnable_h0):
 
 def test_replay_past_the_table_cap_equals_observe_bitwise():
     """On a sensor with more pixel-polarity pairs than the table holds,
-    the replay projects each event's input itself."""
+    the replay projects the distinct pairs of each chunk anew."""
     dims = (346, 260)
     assert 2 * dims[0] * dims[1] > model._TABLE_ROWS
     store = model.init_params(np.random.default_rng(74), 3)
