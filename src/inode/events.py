@@ -150,15 +150,22 @@ def parse_aer(data, sensor_dims=DEFAULT_SENSOR, label=None):
     raw = np.frombuffer(data, dtype=np.uint8)
     if raw.size % 5:
         raise FormatError(f"payload of {raw.size} bytes is not a whole number of 5-byte records")
-    rec = raw.reshape(-1, 5).astype(np.int64)
-    xs = rec[:, 0]
-    ys = rec[:, 1]
-    ps = rec[:, 2] >> 7
-    ts = ((rec[:, 2] & 0x7F) << 16) | (rec[:, 3] << 8) | rec[:, 4]
+    # each column is widened on its own from the byte view, and the
+    # timestamp is assembled in place, so no [N x 5] int64 block exists
+    rec = raw.reshape(-1, 5)
+    xs = rec[:, 0].astype(np.int64)
+    ys = rec[:, 1].astype(np.int64)
+    ps = (rec[:, 2] >> 7).astype(np.int64)
+    ts = np.left_shift(rec[:, 2] & 0x7F, 16, dtype=np.int64)
+    ts |= np.left_shift(rec[:, 3], 8, dtype=np.int64)
+    ts |= rec[:, 4]
     if len(ts) > 1:
         wraps = np.zeros(len(ts), dtype=np.int64)
         wraps[1:] = np.diff(ts) < -T_DROP
-        ts = ts + np.cumsum(wraps) * T_WRAP
+        np.cumsum(wraps, out=wraps)
+        wraps *= T_WRAP
+        ts += wraps
+        del wraps  # before the sequence's checks and their own temporaries
         if np.any(np.diff(ts) < 0):
             warnings.warn("non-monotone timestamps after overflow extension; sorting", stacklevel=2)
             order = np.argsort(ts, kind="stable")

@@ -10,6 +10,13 @@ gaps, with a linear read-out g(h) = FCc(h) after every step.  Training
 runs the whole window on a tape and differentiates it exactly (standard
 backpropagation through time); online inference advances one event at a
 time with sample-and-hold inputs.
+
+The input's share of FC2, ``P(u) = tanh(FCu u) W2_bot + b2``, depends on
+the input row alone, and an event window repeats few rows: a 100 x 100
+window of 34 x 34 moving dots holds about 800 distinct ones.  So a
+window pass and a replay each project every distinct row once into a
+table, of at most ``_TABLE_ROWS`` rows, that their steps read; each row
+has the bits of the product that it replaces.
 """
 
 import warnings
@@ -19,14 +26,20 @@ import numpy as np
 
 from . import engine as en
 from .params import init_store
-from .preprocess import CLAMP_WARNING, REGRESSION_WARNING, clamped_input, normalize_dt
+from .preprocess import (CLAMP_WARNING, REGRESSION_WARNING, clamped_input, normalize_dt,
+                         normalize_events)
 
 STATE_DIM = 30
 WIDTH = 128
 FEATURES = 3
-# the most pixel-polarity rows of a replay's projection table, 4 MB at the
-# default width; a 34 x 34 sensor has 2,312
+# the most rows of a projection table: a replay's, one per pixel and
+# polarity (a 34 x 34 sensor has 2,312), is 4 MB at the default width, and
+# a window's, one per distinct input row with its tanh(FCu u) row, 8 MB
 _TABLE_ROWS = 1 << 12
+# odd multipliers that mix the bits of a feature row's three columns into
+# one key per row
+_MIX = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9],
+                dtype=np.uint64)
 
 
 def layout(n_classes, state_dim, width, learnable_h0):
@@ -61,11 +74,13 @@ class _Step:
 
     FC2 runs split, ``tanh(FC1 h) W2_top + P(u)`` with the projection
     ``P(u) = tanh(FCu u) W2_bot + b2`` over the row halves of ``fc2_w``, so
-    a replay can run ``P`` once per pixel and polarity and still equal the
-    live path bit for bit.  Biases are added in place.  A batch gets fresh
-    arrays per step, which its tape keeps for the adjoint.  A single-row
-    step (``single_row=True``, the live path) reuses one set of buffers and
-    fills them with ``np.dot``, which costs less per call than
+    ``P`` can come from a table of the distinct input rows, one product
+    over them all (``projections``), and still have the bits of the step's
+    own: a window's steps read the one ``tabulate`` builds, and a replay
+    keeps one per pixel and polarity.  Biases are added in place.  A batch
+    gets fresh arrays per step, which its tape keeps for the adjoint.  A
+    single-row step (``single_row=True``, the live path) reuses one set of
+    buffers and fills them with ``np.dot``, which costs less per call than
     ``np.matmul`` and gives the same bits; it must not run on a tape nor
     be shared between threads.
     """
@@ -79,6 +94,7 @@ class _Step:
         self.w3, self.b3 = store["fc3_w"], store["fc3_b"]
         self._dot = np.dot if single_row else np.matmul
         self._buffers = self._empty(1) if single_row else None
+        self._table = None
 
     def _empty(self, rows):
         width = self.w1.shape[1]
@@ -86,21 +102,75 @@ class _Step:
         return (hidden, hidden[:, :width], hidden[:, width:], np.empty((rows, width)),
                 np.empty((rows, width)), np.empty((rows, self.w3.shape[1])))
 
-    def project(self, u, tanh_u, out):
-        """``P(u)`` into ``out``, ``tanh(FCu u)`` into ``tanh_u``."""
-        dot = self._dot
+    def project(self, u, tanh_u, out, dot=None):
+        """``P(u)`` into ``out``, ``tanh(FCu u)`` into ``tanh_u``, by ``dot``
+        or the step's own product."""
+        dot = dot or self._dot
         dot(u, self.wu, out=tanh_u)
         tanh_u += self.bu
         np.tanh(tanh_u, out=tanh_u)
         dot(tanh_u, self.w2_bot, out=out)
         out += self.b2
 
-    def layers(self, h, u):
+    def projections(self, u, single_row):
+        """``(tanh(FCu u), P(u))`` of the rows of a [k x 3] block as fresh
+        [k x W] arrays, each row with the bits ``project`` gives it in a
+        step of one row (``single_row``) or of several.  A broadcast
+        product over [k x 1 x 3] runs one single-row product per row.  A
+        row of a product over two rows or more has the same bits whatever
+        the number of rows (OpenBLAS 0.3.31; the tests pin it), but a
+        product over one row is a single-row one, so a lone row of a
+        several-row step is projected twice."""
+        k, width = len(u), self.w1.shape[1]
+        if single_row:
+            u = u[:, None]
+        elif k == 1:
+            u = np.repeat(u, 2, axis=0)
+        shape = (*u.shape[:-1], width)
+        tanh_u, p = np.empty(shape), np.empty(shape)
+        self.project(u, tanh_u, p, np.matmul)
+        return tanh_u.reshape(-1, width)[:k], p.reshape(-1, width)[:k]
+
+    def tabulate(self, inputs, traced):
+        """Project the distinct rows of a [B x S x 3] window once, into the
+        table that ``layers`` reads for ``rows``.  Returns the [S x B] table
+        row of each step's inputs, or None when the window has more than
+        ``_TABLE_ROWS`` distinct rows, counted before anything is projected:
+        its steps then project their own.  Rows are told apart by their
+        bytes, through one mixed key per row whose groups are checked
+        exactly; two distinct rows that share a key also give None.  The
+        ``tanh(FCu u)`` table, which only the adjoint reads, is kept when
+        ``traced``.  A window of one row takes single-row products, as its
+        steps do."""
+        b, s, _ = inputs.shape
+        flat = np.ascontiguousarray(inputs, dtype=np.float64).reshape(b * s, 3)
+        bits = flat.view(np.uint64)
+        mixed = (bits ^ bits >> 32) * _MIX
+        keys, rows = np.unique(mixed[:, 0] ^ mixed[:, 1] ^ mixed[:, 2], return_inverse=True)
+        if len(keys) > _TABLE_ROWS:
+            return None
+        first = np.empty(len(keys), dtype=np.intp)
+        first[rows] = np.arange(b * s)  # one row of each key
+        if not np.array_equal(bits[first][rows], bits):
+            return None
+        tanh_u, p = self.projections(flat[first], single_row=b == 1)
+        self._table = p, tanh_u if traced else None
+        return np.ascontiguousarray(rows.reshape(b, s).T)
+
+    def layers(self, h, u, rows=None):
         """``(hidden, act, f(h, u))`` for rows of plain arrays: the two
-        tanh activations and the state derivative."""
+        tanh activations and the state derivative.  With ``rows``, ``P(u)``
+        comes from the table of ``tabulate``, and so does ``hidden``'s
+        ``tanh(FCu u)`` half if the table kept it; else it is left unset."""
         hidden, lo, hi, top, act, dh = self._buffers or self._empty(len(h))
         dot = self._dot
-        self.project(u, hi, act)
+        if rows is None:
+            self.project(u, hi, act)
+        else:
+            p, tanh_u = self._table
+            np.take(p, rows, axis=0, out=act, mode="clip")  # "clip" writes unbuffered
+            if tanh_u is not None:
+                hi[...] = tanh_u[rows]
         dot(h, self.w1, out=lo)
         lo += self.b1
         np.tanh(lo, out=lo)
@@ -111,10 +181,11 @@ class _Step:
         dh += self.b3
         return hidden, act, dh
 
-    def step(self, h, u, dtau, tape=None):
-        """``euler_step`` with this step's weights; a fresh state."""
+    def step(self, h, u, dtau, tape=None, rows=None):
+        """``euler_step`` with this step's weights; a fresh state.  ``rows``
+        are the table rows of ``u``, see ``layers``."""
         hv = _val(h)
-        hidden, act, dh = self.layers(hv, u)
+        hidden, act, dh = self.layers(hv, u, rows)
         dh *= dtau
         out = hv + dh
         if tape is None:
@@ -231,12 +302,18 @@ def forward(batch, store, *, tape=None, final_only=False):
     (``final_only``: one read-out of the final state, see ``unroll``).
 
     With a tape, the returned loss node supports exact gradients via
-    ``engine.backward``.
+    ``engine.backward``.  The steps take ``P(u)`` from a table of the
+    window's distinct input rows (``_Step.tabulate``), bit for bit the
+    product each would run: a gemm over the rows, or single-row products
+    for a window of one row.  Past ``_TABLE_ROWS`` distinct rows each step
+    projects its own.
     """
-    advance = _Step(store).step  # binds its weights once for the window
+    kernel = _Step(store)  # binds its weights and the window's table once
+    rows = kernel.tabulate(batch.inputs, traced=tape is not None)
 
     def step(h, i):
-        return advance(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], tape)
+        return kernel.step(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], tape,
+                           None if rows is None else rows[i])
 
     return unroll(batch, store, _initial_state(store, batch.size, tape), step, tape,
                   final_only=final_only)
@@ -379,18 +456,19 @@ class OnlineClassifier(OnlineSession):
     def _recursion(self, seq, states):
         """``observe``'s step per event; the recording's first event only
         reads out.  ``P(u)`` depends on an event's pixel and polarity alone:
-        one table row each, filled on first use by ``observe``'s single-row
-        ``_Step.project``, serves the whole replay (past ``_TABLE_ROWS`` of
-        them, the table holds the distinct pairs of one chunk).  The rest of
-        the step runs on 1-D rows, with ``_Step``'s products and sums in its
-        order; a 1-D ``np.dot`` has the bits of the [1 x n] one.
+        one table row each serves the whole replay (past ``_TABLE_ROWS`` of
+        them, the table holds the distinct pairs of one chunk).  The rows
+        new to a chunk are filled by one broadcast single-row product
+        (``_Step.projections``), with the bits of ``observe``'s.  The rest
+        of the step runs on 1-D rows, with ``_Step``'s products and sums in
+        its order; a 1-D ``np.dot`` has the bits of the [1 x n] one.
         """
         step, dims = self._step, seq.sensor_dims
         w1, b1, w2_top, w3, b3 = step.w1, step.b1[0], step.w2_top, step.w3, step.b3[0]
         n_keys = 2 * dims[0] * dims[1]
         per_chunk = n_keys > _TABLE_ROWS
         table = np.empty((len(states) if per_chunk else n_keys, w1.shape[1]))
-        filled, tanh_u = np.zeros(len(table), dtype=bool), np.empty((1, w1.shape[1]))
+        filled = np.zeros(len(table), dtype=bool)
         states[0] = self.state
 
         def projections(lo, hi):
@@ -398,12 +476,13 @@ class OnlineClassifier(OnlineSession):
             if per_chunk:
                 keys = np.unique(keys, return_inverse=True)[1]
                 filled[:] = False
-            for k in np.flatnonzero(~filled[keys]).tolist():
-                key = keys[k]
-                if not filled[key]:  # a key new to the table may recur in the chunk
-                    u = np.array([clamped_input(seq.event(lo + k), dims)[0]])
-                    step.project(u, tanh_u, table[key:key + 1])
-                    filled[key] = True
+            new = np.flatnonzero(~filled[keys])
+            if len(new):
+                fresh, first = np.unique(keys[new], return_index=True)
+                at = lo + new[first]
+                u = normalize_events(seq.xs[at], seq.ys[at], seq.ps[at], dims)
+                table[fresh] = step.projections(u, single_row=True)[1]
+                filled[fresh] = True
             return table[keys]
 
         # the per-event calls are bound locally and given their outputs by

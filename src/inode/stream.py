@@ -21,7 +21,6 @@ recording itself.
 
 import re
 import socketserver
-import sys
 import time
 from pathlib import Path
 
@@ -73,10 +72,9 @@ class LineSession:
         return format_prediction(t, pred, posterior)
 
 
-def serve_lines(session, infile=None, outfile=None):
-    """Blocking stdin/stdout loop; returns the number of answered events."""
-    infile = infile if infile is not None else sys.stdin
-    outfile = outfile if outfile is not None else sys.stdout
+def serve_lines(session, infile, outfile):
+    """Blocking line loop, one reply line per answered line; returns the
+    number of answered events."""
     n = 0
     for line in infile:
         reply = session.handle(line)

@@ -76,9 +76,9 @@ def moving_dot(class_id, seed, n_events, sensor_dims=(34, 34), noise_rate=0.0):
     return EventSequence(xs, ys, ps, ts, label=class_id, sensor_dims=(w, h))
 
 
-def moving_dot_dataset(n_classes, per_class, seed, n_events=400, sensor_dims=(34, 34),
-                       noise_rate=0.05, split="train"):
-    """Balanced dataset of moving-dot sequences, deterministic in ``seed``."""
+def moving_dot_dataset(n_classes, per_class, seed, n_events=400, noise_rate=0.05, split="train"):
+    """Balanced dataset of moving-dot sequences on the default 34 x 34
+    sensor, deterministic in ``seed``."""
     if n_classes > len(DIRECTIONS):
         raise ValueError(f"at most {len(DIRECTIONS)} motion classes available")
     sequences = []
@@ -86,7 +86,7 @@ def moving_dot_dataset(n_classes, per_class, seed, n_events=400, sensor_dims=(34
         for k in range(per_class):
             sequences.append(
                 moving_dot(c, seed=(int(seed) << 20) + k, n_events=n_events,
-                           sensor_dims=sensor_dims, noise_rate=noise_rate)
+                           noise_rate=noise_rate)
             )
     return Dataset(sequences, class_count=n_classes, split=split)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def test_timestamp_overflow_extension():
     back = parse_aer(blob)
     assert list(back.ts) == [T_WRAP - 10, T_WRAP + 10]
     assert np.all(np.diff(back.ts) >= 0)
+
+
+def test_parse_aer_peak_memory():
+    """The decoder widens one column at a time; a whole [N x 5] int64
+    block of the records put its peak at 99 B/event."""
+    n = 1 << 16
+    rng = np.random.default_rng(9)
+    seq = EventSequence(rng.integers(0, 34, n), rng.integers(0, 34, n), rng.integers(0, 2, n),
+                        np.cumsum(rng.integers(0, 400, n)))
+    blob = write_aer(seq)
+    tracemalloc.start()
+    try:
+        back = parse_aer(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.ts[-1] > T_WRAP and np.array_equal(back.ts, seq.ts)
+    assert peak <= 56 * n, f"{peak / n:.1f} B/event"
 
 
 def test_oversized_step_rejected_on_write():

@@ -9,8 +9,8 @@ from helpers import (central_difference, inode_ops_forward, max_rel_err, observe
                      ops_gradients)
 from inode import engine as en
 from inode import model
-from inode.preprocess import Batch, TimeStats, normalize_dt, normalize_sequence
-from inode.synth import moving_dot, scale_coordinates
+from inode.preprocess import Batch, TimeStats, make_batch, normalize_dt, normalize_sequence
+from inode.synth import moving_dot, moving_dot_dataset, scale_coordinates
 
 
 def _tiny_store(seed=0, n_classes=3, state_dim=4, width=6):
@@ -222,6 +222,96 @@ def test_paper_batch_bptt_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 42 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+def _dot_batch(b, s, seed):
+    """A [b x s] window of 34 x 34 moving dots, pixel-valued as in training."""
+    data = moving_dot_dataset(4, -(-b // 4), seed=seed, n_events=s + 40)
+    return make_batch(data.sequences[:b], s, TimeStats(dq=100.0), np.random.default_rng(seed))
+
+
+def test_paper_batch_of_pixels_bptt_peak_memory():
+    """The projection table of a pixel-valued window stays inside the
+    bound of the per-step path."""
+    store = model.init_params(np.random.default_rng(98), n_classes=10)
+    batch = _dot_batch(100, 100, seed=99)
+    assert model._Step(store).tabulate(batch.inputs, traced=True) is not None
+    tracemalloc.start()
+    try:
+        model.backward_bptt(batch, store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 42 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+def _assert_table_equals_per_step(batch, store, monkeypatch, gradients=True):
+    """Untraced and traced logits and BPTT gradients of the window table
+    equal those of per-step projections bit for bit."""
+    def passes():
+        tape = en.Tape()
+        traced = model.forward(batch, store, tape=tape)
+        return (model.forward(batch, store).logits, traced.logits,
+                model.gradients(tape, traced)[0] if gradients else {})
+
+    table = passes()
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_TABLE_ROWS", 0)
+        assert model._Step(store).tabulate(batch.inputs, traced=False) is None
+        per_step = passes()
+    assert np.array_equal(table[0], per_step[0])
+    assert np.array_equal(table[1], per_step[1])
+    assert table[2].keys() == per_step[2].keys()
+    assert all(np.array_equal(table[2][name], per_step[2][name]) for name in table[2])
+
+
+@pytest.mark.parametrize("b, s", itertools.product((1, 2, 100), (1, 10, 100)))
+def test_window_table_equals_per_step_projection_bitwise(b, s, monkeypatch):
+    """Pins the BLAS property the table rests on: a row of a product has
+    the bits it has in a product over any other number of rows (two or
+    more), and a broadcast single-row product those of its own."""
+    store = model.init_params(np.random.default_rng(110 + b + s), n_classes=4)
+    batch = _dot_batch(b, s, seed=b * s)
+    assert model._Step(store).tabulate(batch.inputs, traced=False) is not None
+    _assert_table_equals_per_step(batch, store, monkeypatch)
+
+
+def test_window_of_one_distinct_row_equals_per_step_projection_bitwise(monkeypatch):
+    """A lone distinct row of a several-row window is projected by a
+    several-row product, as its steps project it."""
+    store = model.init_params(np.random.default_rng(113), n_classes=3)
+    rng = np.random.default_rng(114)
+    batch = Batch(np.broadcast_to(rng.uniform(-1, 1, 3), (3, 7, 3)).copy(),
+                  rng.uniform(0, 1, (3, 7)), np.array([0, 1, 2]))
+    _assert_table_equals_per_step(batch, store, monkeypatch)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_window_table_at_and_past_the_cap(extra, monkeypatch):
+    """A window of exactly ``_TABLE_ROWS`` distinct rows is tabulated, one
+    more distinct row sends every step to its own projection, and both
+    give the per-step logits bit for bit."""
+    cap = model._TABLE_ROWS
+    store = model.init_params(np.random.default_rng(115), n_classes=3)
+    rng = np.random.default_rng(116)
+    b, s = 64, -(-(cap + extra) // 64)
+    rows = rng.uniform(-1, 1, (b * s, 3))
+    rows[cap + extra:] = rows[:b * s - cap - extra]  # repeats, not new rows
+    batch = Batch(rows.reshape(b, s, 3), rng.uniform(0, 1, (b, s)), rng.integers(0, 3, b))
+    tabulated = model._Step(store).tabulate(batch.inputs, traced=False)
+    assert (tabulated is None) == bool(extra)
+    _assert_table_equals_per_step(batch, store, monkeypatch, gradients=False)
+
+
+def test_rows_sharing_a_key_fall_back_to_per_step_projection(monkeypatch):
+    """Distinct rows whose mixed keys collide are caught by the exact
+    check and leave the window to per-step projections."""
+    store = model.init_params(np.random.default_rng(117), n_classes=3)
+    batch = _tiny_batch(seed=118, b=4, s=6)
+    want = model.forward(batch, store).logits
+    monkeypatch.setattr(model, "_MIX", np.zeros(3, dtype=np.uint64))
+    assert model._Step(store).tabulate(batch.inputs, traced=False) is None
+    assert np.array_equal(model.forward(batch, store).logits, want)
 
 
 def test_doubling_loss_scale_doubles_gradients():

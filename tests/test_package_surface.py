@@ -8,9 +8,17 @@ import, or a dotted string such as the benchmark's tracing targets.  A
 public method or annotated field of a public class counts as used when
 that code reads it as an attribute or names it in a dotted string; a
 constructor keyword is not a read.  Its own definition and the
-re-exports of ``__init__.py`` do not count.  What only tests need is on
-``KEEP``, with the reason it stays.  The files are parsed from their text,
-so nothing is written to ``bench/``.
+re-exports of ``__init__.py`` do not count.
+
+A keyword parameter, one with a default, of a public top-level function
+counts as used when a call in that code passes it, by keyword, by
+position or through ``*``/``**``.  A call is matched by the name it
+calls; a function that the code also handles as a value (as the AER
+decoders are) is matched by every call of a name that is no package
+function.  A parameter is named ``module.function(parameter=)``.
+
+What only tests need is on ``KEEP``, with the reason it stays.  The files
+are parsed from their text, so nothing is written to ``bench/``.
 """
 
 import ast
@@ -36,6 +44,20 @@ KEEP = {
                                "that normalized coordinates do not depend on resolution",
     "training.parse_metrics_csv": "the inverse of metrics_csv, which tests use to show "
                                   "that the CSV round-trips exactly",
+    "model.euler_step(dynamics=)": "the f that criterion 02 and the generic-op reference "
+                                   "of the window pass put in place of the fused step",
+    "model.euler_step(tape=)": "the tape of the tests' generic-op reference of the "
+                               "window pass, whose gradients the fused step must match",
+    "model.init_params(learnable_h0=)": "a store with a learnable h0 for the tests; the "
+                                        "program builds one from the kind's layout",
+    "lstm.init_params(bidirectional=)": "a bi-LSTM store for the tests; the program builds "
+                                        "one from the kind's layout",
+    "lstm.forward_bidirectional(cell=)": "the generic-op reference of the bi-LSTM's "
+                                         "steps: model.unroll has no final-only loss, so "
+                                         "a reference without it would copy the "
+                                         "two-direction loop",
+    "stream.fast_replay(chunk=)": "the tests show that the replay text does not depend "
+                                  "on the chunk size",
 }
 
 
@@ -98,6 +120,54 @@ def _program_files():
     return [path for path in files if path != PACKAGE / "__init__.py"]
 
 
+def _keyword_parameters():
+    """``(qualified name, function, parameter, position)`` of every keyword
+    parameter of a public top-level function; ``position`` is None for a
+    keyword-only one."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for position, arg in enumerate(positional[first:], first):
+                yield f"{path.stem}.{node.name}({arg.arg}=)", node.name, arg.arg, position
+            for arg in args.kwonlyargs:
+                yield f"{path.stem}.{node.name}({arg.arg}=)", node.name, arg.arg, None
+
+
+def _passes(call, parameter, position):
+    keywords = {keyword.arg for keyword in call.keywords}
+    return (parameter in keywords or None in keywords
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_keyword_parameter_is_passed_or_has_a_reason():
+    calls, values = {}, set()
+    for path in _program_files():
+        tree = ast.parse(path.read_text(), str(path))
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+                called.add(id(func))
+        values.update(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                      and id(node) not in called)
+    parameters = list(_keyword_parameters())
+    functions = {function for _, function, _, _ in parameters}
+    assert len(functions) > 10
+    unknown = [call for name, found in calls.items() if name not in functions for call in found]
+    unused = [name for name, function, parameter, position in parameters
+              if not any(_passes(call, parameter, position) for call in
+                         calls.get(function, []) + (unknown if function in values else []))]
+    assert sorted(unused) == sorted(name for name in KEEP if name.endswith("=)"))
+
+
 def test_every_public_definition_has_a_caller_or_a_reason():
     refs = [_references(path) for path in _program_files()]
     names = set().union(*(n for n, _ in refs))
@@ -106,4 +176,4 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     assert any(member for _, member in definitions)
     unused = [name for name, member in definitions
               if name.rsplit(".", 1)[1] not in (attributes if member else names)]
-    assert sorted(unused) == sorted(KEEP)
+    assert sorted(unused) == sorted(name for name in KEEP if not name.endswith("=)"))
