@@ -227,13 +227,14 @@ def write_aer16(seq):
 
 def read_manifest(root):
     """Sensor dims and the decode function of the record format named in
-    manifest.json, with NMNIST defaults (34 x 34, ``aer``).
+    manifest.json: None when it names no sensor, ``aer`` when it names no
+    format.
 
     The function is looked up on each call, so that a wrapper rebinding
     ``parse_aer`` (a profiler's) is seen.
     """
     path = Path(root) / "manifest.json"
-    sensor, fmt = DEFAULT_SENSOR, "aer"
+    sensor, fmt = None, "aer"
     if path.exists():
         try:
             meta = json.loads(path.read_text())
@@ -265,6 +266,7 @@ def load_dataset(root, truncate_to=None, split="train"):
     if not root.is_dir():
         raise DatasetError(f"no such dataset directory: {root}")
     sensor, decode = read_manifest(root)
+    sensor = sensor or DEFAULT_SENSOR
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise DatasetError(f"no class directories under {root}")

@@ -58,11 +58,13 @@ class _Cell:
     W_* and U_* in row order (i, f, o, g) and the biases stacked into one
     [4 x 1 x H] block.
 
-    A batch runs ``gates`` into fresh arrays, which its tape keeps.  A
-    single-row cell (``rows == 1``, the live and replay path) also binds
-    the [4 x 4 x H] input and [4 x H x H] recurrent gate stacks and owns
-    [4 x 1 x H] scratch, which ``advance`` fills in place; such a cell must
-    not be shared between threads.  A broadcast ``np.matmul`` over a stack
+    A batch step (``step``), a one-row window's too, runs ``gates`` into
+    fresh arrays, which its tape keeps.  A single-row cell (``rows == 1``)
+    also binds the [4 x 4 x H] input and [4 x H x H] recurrent gate stacks
+    and owns [4 x 1 x H] scratch, which ``advance``, the step of a live
+    session and of the replay, fills in place; such a cell must not be
+    shared between threads.  ``advance`` has the bits of ``step`` on one
+    row (the tests pin it).  A broadcast ``np.matmul`` over a stack
     runs one single-row product per item, so each gate's product has the
     bits of its own ``np.dot``; a concatenated product such as
     ``[u h] @ [W; U]``, or a gemm over several rows, sums in another order.
@@ -74,8 +76,7 @@ class _Cell:
         self.ws = [store[w] for w, _, _ in rows_names]
         self.us = [store[u] for _, u, _ in rows_names]
         self.bias = np.stack([store[b] for _, _, b in rows_names])
-        self.single_row = rows == 1
-        if self.single_row:
+        if rows == 1:
             self.w4, self.u4 = np.stack(self.ws), np.stack(self.us)
             self.ux = np.empty_like(self.bias)  # the input products of one event
             self._z = z = np.empty_like(self.bias)
@@ -130,11 +131,6 @@ class _Cell:
         """
         h, c = state
         hv, cv = _val(h), _val(c)
-        if tape is None and self.single_row:
-            h_new, c_new = np.empty_like(hv), cv.copy()
-            np.matmul(u, self.w4, out=self.ux)
-            self.advance(self.ux, hv, c_new, h_new)
-            return h_new, c_new
         (i, f, o), g = self.gates(u, hv)
         c_new = f * cv + i * g
         h_new = o * np.tanh(c_new)
@@ -244,7 +240,7 @@ class OnlineLstm(OnlineSession):
     def observe(self, event):
         dtau = self._gap(event)
         cell, (h, c) = self._cell, self.state
-        np.matmul(np.array([(*self._input(event), dtau)]), cell.w4, out=cell.ux)
+        np.matmul(np.array([(*self._input(event)[0], dtau)]), cell.w4, out=cell.ux)
         cell.advance(cell.ux, h, c, h)
         return self._predict(h)
 

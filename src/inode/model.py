@@ -14,9 +14,10 @@ time with sample-and-hold inputs.
 The input's share of FC2, ``P(u) = tanh(FCu u) W2_bot + b2``, depends on
 the input row alone, and an event window repeats few rows: a 100 x 100
 window of 34 x 34 moving dots holds about 800 distinct ones.  So a
-window pass and a replay each project every distinct row once into a
-table, of at most ``_TABLE_ROWS`` rows, that their steps read; each row
-has the bits of the product that it replaces.
+window pass and a live session (its ``observe`` and its replay) each
+project every distinct row once into a table, of at most ``_TABLE_ROWS``
+rows, that their steps read; each row has the bits of the product that
+it replaces.
 """
 
 import warnings
@@ -32,7 +33,7 @@ from .preprocess import (CLAMP_WARNING, REGRESSION_WARNING, clamped_input, norma
 STATE_DIM = 30
 WIDTH = 128
 FEATURES = 3
-# the most rows of a projection table: a replay's, one per pixel and
+# the most rows of a projection table: a session's, one per pixel and
 # polarity (a 34 x 34 sensor has 2,312), is 4 MB at the default width, and
 # a window's, one per distinct input row with its tanh(FCu u) row, 8 MB
 _TABLE_ROWS = 1 << 12
@@ -76,40 +77,31 @@ class _Step:
     ``P(u) = tanh(FCu u) W2_bot + b2`` over the row halves of ``fc2_w``, so
     ``P`` can come from a table of the distinct input rows, one product
     over them all (``projections``), and still have the bits of the step's
-    own: a window's steps read the one ``tabulate`` builds, and a replay
-    keeps one per pixel and polarity.  Biases are added in place.  A batch
-    gets fresh arrays per step, which its tape keeps for the adjoint.  A
-    single-row step (``single_row=True``, the live path) reuses one set of
-    buffers and fills them with ``np.dot``, which costs less per call than
-    ``np.matmul`` and gives the same bits; it must not run on a tape nor
-    be shared between threads.
+    own: a window's steps read the one ``tabulate`` builds, and a live
+    session keeps one per pixel and polarity.  A batch (``step``) gets
+    fresh arrays per step, which its tape keeps for the adjoint.  A live
+    session and the replay run the same step on 1-D rows, one event at a
+    time (``advance``), in three buffers of the step's own: such a step
+    must not be shared between threads.
     """
 
-    def __init__(self, store, single_row=False):
+    def __init__(self, store):
         self.store = store
         self.w1, self.b1 = store["fc1_w"], store["fc1_b"]
         self.wu, self.bu = store["fcu_w"], store["fcu_b"]
         self.w2, self.b2 = store["fc2_w"], store["fc2_b"]
         self.w2_top, self.w2_bot = np.split(self.w2, 2)
         self.w3, self.b3 = store["fc3_w"], store["fc3_b"]
-        self._dot = np.dot if single_row else np.matmul
-        self._buffers = self._empty(1) if single_row else None
         self._table = None
+        self._rows = (self.w1, self.b1[0], self.w2_top, self.w3, self.b3[0], np.empty(len(self.w3)),
+                      np.empty(len(self.w3)), np.empty(self.w3.shape[1]))
 
-    def _empty(self, rows):
-        width = self.w1.shape[1]
-        hidden = np.empty((rows, 2 * width))
-        return (hidden, hidden[:, :width], hidden[:, width:], np.empty((rows, width)),
-                np.empty((rows, width)), np.empty((rows, self.w3.shape[1])))
-
-    def project(self, u, tanh_u, out, dot=None):
-        """``P(u)`` into ``out``, ``tanh(FCu u)`` into ``tanh_u``, by ``dot``
-        or the step's own product."""
-        dot = dot or self._dot
-        dot(u, self.wu, out=tanh_u)
+    def project(self, u, tanh_u, out):
+        """``P(u)`` into ``out``, ``tanh(FCu u)`` into ``tanh_u``."""
+        np.matmul(u, self.wu, out=tanh_u)
         tanh_u += self.bu
         np.tanh(tanh_u, out=tanh_u)
-        dot(tanh_u, self.w2_bot, out=out)
+        np.matmul(tanh_u, self.w2_bot, out=out)
         out += self.b2
 
     def projections(self, u, single_row):
@@ -128,7 +120,7 @@ class _Step:
             u = np.repeat(u, 2, axis=0)
         shape = (*u.shape[:-1], width)
         tanh_u, p = np.empty(shape), np.empty(shape)
-        self.project(u, tanh_u, p, np.matmul)
+        self.project(u, tanh_u, p)
         return tanh_u.reshape(-1, width)[:k], p.reshape(-1, width)[:k]
 
     def tabulate(self, inputs, traced):
@@ -162,8 +154,10 @@ class _Step:
         tanh activations and the state derivative.  With ``rows``, ``P(u)``
         comes from the table of ``tabulate``, and so does ``hidden``'s
         ``tanh(FCu u)`` half if the table kept it; else it is left unset."""
-        hidden, lo, hi, top, act, dh = self._buffers or self._empty(len(h))
-        dot = self._dot
+        width = self.w1.shape[1]
+        hidden, top, act, dh = (np.empty((len(h), n))
+                                for n in (2 * width, width, width, self.w3.shape[1]))
+        lo, hi = hidden[:, :width], hidden[:, width:]
         if rows is None:
             self.project(u, hi, act)
         else:
@@ -171,15 +165,38 @@ class _Step:
             np.take(p, rows, axis=0, out=act, mode="clip")  # "clip" writes unbuffered
             if tanh_u is not None:
                 hi[...] = tanh_u[rows]
-        dot(h, self.w1, out=lo)
+        np.matmul(h, self.w1, out=lo)
         lo += self.b1
         np.tanh(lo, out=lo)
-        dot(lo, self.w2_top, out=top)
+        np.matmul(lo, self.w2_top, out=top)
         act += top
         np.tanh(act, out=act)
-        dot(act, self.w3, out=dh)
+        np.matmul(act, self.w3, out=dh)
         dh += self.b3
         return hidden, act, dh
+
+    def advance(self, h, ps, gaps, outs, dot=np.dot, add=np.add, mul=np.multiply,
+                tanh=np.tanh):
+        """Euler steps on 1-D rows, a live session's and the replay's: from
+        the state row ``h``, each row of ``outs`` in turn gets the state one
+        step on, with the next ``P(u)`` row of ``ps`` and gap of ``gaps``.
+        The products and sums are ``step``'s, in its order; a 1-D
+        ``np.dot`` has the bits of the [1 x n] product.  An ``outs`` row may
+        be ``h`` itself.  The calls are bound locally and given their
+        outputs by position, which costs less per call than a global and a
+        keyword."""
+        w1, b1, w2_top, w3, b3, s_buf, t_buf, d_buf = self._rows
+        for out, p, gap in zip(outs, ps, gaps):
+            dot(h, w1, s_buf)
+            add(s_buf, b1, s_buf)
+            tanh(s_buf, s_buf)
+            dot(s_buf, w2_top, t_buf)
+            add(t_buf, p, t_buf)
+            tanh(t_buf, t_buf)
+            dot(t_buf, w3, d_buf)
+            add(d_buf, b3, d_buf)
+            mul(d_buf, gap, d_buf)
+            h = add(h, d_buf, out)
 
     def step(self, h, u, dtau, tape=None, rows=None):
         """``euler_step`` with this step's weights; a fresh state.  ``rows``
@@ -347,7 +364,7 @@ class OnlineSession:
         self._wc, self._bc = store["fcc_w"], store["fcc_b"]
         self.stats = stats
         self._dq, self._dmax = float(stats.dq), float(stats.dmax)
-        self.sensor_dims = sensor_dims
+        self.sensor_dims = tuple(sensor_dims)
         self.reset()
 
     def reset(self):
@@ -369,13 +386,14 @@ class OnlineSession:
         return gap
 
     def _input(self, event):
-        """Features (x, y, p) of the event, its coordinates clamped into the sensor."""
-        u, clamped = clamped_input(event, self.sensor_dims)
+        """Features (x, y, p) of the event, its coordinates clamped into the
+        sensor, and the pixel and polarity ``(x, y, p)`` they are of."""
+        u, clamped, pixel = clamped_input(event, self.sensor_dims)
         if clamped:
             self.clamped += 1
             if self.clamped == 1:
                 warnings.warn(CLAMP_WARNING, stacklevel=3)
-        return u
+        return u, pixel
 
     def _predict(self, h):
         """(class, fresh posterior row) of a [1 x state] row; ties go to the
@@ -401,8 +419,11 @@ class OnlineSession:
         (a gemm rounds a row by its neighbours), so the text does not
         depend on ``chunk``, and memory grows with ``chunk``, not with the
         recording.  ``EventSequence`` refuses decreasing timestamps, so no
-        gap needs clamping.
+        gap needs clamping.  A recording from another sensor than the
+        session's raises ``ValueError``.
         """
+        if seq.sensor_dims != self.sensor_dims:
+            raise ValueError(f"recording from a {seq.sensor_dims} sensor, not {self.sensor_dims}")
         wc, bc, stats = self._wc, self._bc, self.stats
         # row 0 holds the state before a chunk, row k + 1 the state after its event k
         states = np.empty((chunk + 1, 1, wc.shape[0]))
@@ -430,45 +451,60 @@ class OnlineClassifier(OnlineSession):
     Each arriving event first advances the state across the elapsed gap
     using the input held from the previous event (the normalized step is
     clipped at dmax, so an arbitrarily long silence costs one capped
-    step), then emits a read-out and holds the new input.  Run over the
-    S+1 events of a sampled window this reproduces ``forward`` exactly.
-    A session binds its own single-row step once, so sessions on one
-    store may run in parallel threads.
+    step), then emits a read-out and holds the new input's ``P(u)`` row.
+    Run over the S+1 events of a sampled window this reproduces
+    ``forward`` exactly.  ``observe`` and the replay run one kernel,
+    ``_Step.advance``, and read one table of ``P(u)`` with a row per pixel
+    and polarity, filled as the pairs are first seen: one single-row
+    product each, whichever of the two sees it first.  Past
+    ``_TABLE_ROWS`` pairs the session keeps no table: ``observe`` projects
+    each event's row, and the replay the distinct pairs of each chunk.
+    ``observe`` also projects alone an event whose polarity is neither 0
+    nor 1, which has no row (an ``Event`` made by hand; a decoded
+    recording and the line protocol refuse it).  A session binds its own
+    step once, so sessions on one store may run in parallel threads.
     """
 
     def __init__(self, store, stats, sensor_dims):
-        self._step = _Step(store, single_row=True)
+        self._step = _Step(store)
+        n_keys = 2 * sensor_dims[0] * sensor_dims[1]
+        self._table = self._new_table(n_keys) if n_keys <= _TABLE_ROWS else None
         super().__init__(store, stats, sensor_dims)
+
+    def _new_table(self, rows):
+        """An empty ``P(u)`` table and the mask of its filled rows."""
+        return np.empty((rows, self._step.w1.shape[1])), np.zeros(rows, dtype=bool)
 
     def reset(self):
         super().reset()
         self.state = _initial_state(self.store, 1, None)
-        self._held_u = None
+        self._held_p = None
 
     def observe(self, event):
         """Consume one event; returns (predicted class, posterior row)."""
         dtau = self._gap(event)
-        if self._held_u is not None:
-            self.state = self._step.step(self.state, self._held_u, dtau)
-        self._held_u = np.array([self._input(event)])
+        if self._held_p is not None:
+            self._step.advance(self.state[0], (self._held_p,), (dtau,), self.state)
+        u, (x, y, p) = self._input(event)
+        on_table = self._table is not None and p in (0, 1)
+        # past the cap or off the table, a table of one row that this event alone reads
+        table, filled = self._table if on_table else self._new_table(1)
+        key = (x * self.sensor_dims[1] + y) * 2 + p if on_table else 0
+        if not filled[key]:
+            self._step.project(np.array([u]), np.empty_like(table[:1]), table[key:key + 1])
+            filled[key] = True
+        self._held_p = table[key]
         return self._predict(self.state)
 
     def _recursion(self, seq, states):
-        """``observe``'s step per event; the recording's first event only
-        reads out.  ``P(u)`` depends on an event's pixel and polarity alone:
-        one table row each serves the whole replay (past ``_TABLE_ROWS`` of
-        them, the table holds the distinct pairs of one chunk).  The rows
-        new to a chunk are filled by one broadcast single-row product
-        (``_Step.projections``), with the bits of ``observe``'s.  The rest
-        of the step runs on 1-D rows, with ``_Step``'s products and sums in
-        its order; a 1-D ``np.dot`` has the bits of the [1 x n] one.
-        """
-        step, dims = self._step, seq.sensor_dims
-        w1, b1, w2_top, w3, b3 = step.w1, step.b1[0], step.w2_top, step.w3, step.b3[0]
-        n_keys = 2 * dims[0] * dims[1]
-        per_chunk = n_keys > _TABLE_ROWS
-        table = np.empty((len(states) if per_chunk else n_keys, w1.shape[1]))
-        filled = np.zeros(len(table), dtype=bool)
+        """``_Step.advance`` over each chunk, from ``P(u)`` rows that the
+        session's table gives (past ``_TABLE_ROWS`` pairs, a table of the
+        distinct pairs of the chunk); the recording's first event only reads
+        out.  The rows new to a chunk are filled by one broadcast
+        single-row product (``_Step.projections``), with the bits of
+        ``observe``'s."""
+        step, dims, per_chunk = self._step, self.sensor_dims, self._table is None
+        table, filled = self._new_table(len(states)) if per_chunk else self._table
         states[0] = self.state
 
         def projections(lo, hi):
@@ -485,28 +521,13 @@ class OnlineClassifier(OnlineSession):
                 filled[fresh] = True
             return table[keys]
 
-        # the per-event calls are bound locally and given their outputs by
-        # position, which costs less per call than a global and a keyword
-        def fill(lo, hi, gaps, s_buf=np.empty(w1.shape[1]), t_buf=np.empty(w1.shape[1]),
-                 d_buf=np.empty(w1.shape[0]), dot=np.dot, add=np.add, mul=np.multiply,
-                 tanh=np.tanh):
+        def fill(lo, hi, gaps):
             lead = int(lo == 0)
             if lead:
                 states[1] = states[0]
             # event i advances across the gap since event i-1 with the
             # input held from it, so the projections start one event early
-            held_rows = projections(lo - 1 + lead, hi - 1)
-            h = states[0, 0]
-            for out, held, gap in zip(states[1 + lead:hi - lo + 1, 0], held_rows, gaps.tolist()):
-                dot(h, w1, s_buf)
-                add(s_buf, b1, s_buf)
-                tanh(s_buf, s_buf)
-                dot(s_buf, w2_top, t_buf)
-                add(t_buf, held, t_buf)
-                tanh(t_buf, t_buf)
-                dot(t_buf, w3, d_buf)
-                add(d_buf, b3, d_buf)
-                mul(d_buf, gap, d_buf)
-                h = add(h, d_buf, out)
+            step.advance(states[0, 0], projections(lo - 1 + lead, hi - 1), gaps.tolist(),
+                         states[1 + lead:hi - lo + 1, 0])
 
         return fill

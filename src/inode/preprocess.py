@@ -86,15 +86,16 @@ def normalize_coords(xs, ys, sensor_dims):
 
 def clamped_input(event, sensor_dims):
     """Features (x_norm, y_norm, p_signed) of one event as Python floats,
-    equal to its row of ``normalize_sequence`` bit for bit, and whether its
-    coordinates were outside the sensor and clamped to its edge."""
+    equal to its row of ``normalize_sequence`` bit for bit, whether its
+    coordinates were outside the sensor and clamped to its edge, and the
+    pixel and polarity ``(x, y, p)`` that the features are of."""
     w, h = sensor_dims
-    x, y = event.x, event.y
+    x, y, p = event.x, event.y, event.p
     clamped = not (0 <= x < w and 0 <= y < h)
     if clamped:
         x, y = min(max(x, 0), w - 1), min(max(y, 0), h - 1)
     return (_unit(x, w) if w > 1 else 0.0, _unit(y, h) if h > 1 else 0.0,
-            2.0 * event.p - 1.0), clamped
+            2.0 * p - 1.0), clamped, (x, y, p)
 
 
 def normalize_events(xs, ys, ps, sensor_dims):

@@ -10,7 +10,9 @@ Each valid event produces exactly one outbound line, in order:
 Malformed input produces ``ERR <reason>`` and leaves the state untouched:
 ``ERR parse`` for a line that is not one of the above, ``ERR range`` for a
 negative field, a polarity other than 0 or 1, or a timestamp outside the
-int64 range of the AER codecs.
+int64 range of the AER codecs.  Over TCP, a line longer than
+``MAX_LINE`` bytes (its newline included) gets ``ERR long``; the server
+reads the rest of it and drops it, and the connection goes on.
 The protocol runs over stdin/stdout or a TCP socket (one isolated session
 per connection, all sharing the read-only parameter store), and binary
 AER files can be replayed through it, paced by their timestamps or at
@@ -25,6 +27,7 @@ import time
 from pathlib import Path
 
 from .checkpoint import model_kind
+from .errors import FormatError
 from .events import Event, read_manifest
 
 # a field of an event line; a sign or digit that int() would also take
@@ -32,6 +35,9 @@ from .events import Event, read_manifest
 _INTEGER = re.compile(r"-?[0-9]+")
 # one past the largest timestamp an AER codec decodes
 _T_LIMIT = 1 << 63
+# the most bytes of one line, its newline included, that the TCP server
+# holds: far above the longest valid event line (about 50 bytes)
+MAX_LINE = 1024
 
 
 def make_session(ckpt):
@@ -91,10 +97,16 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self):
         session = LineSession(make_session(self.server.ckpt))
-        for raw in self.rfile:
-            reply = session.handle(raw.decode("utf-8", errors="replace"))
+        read, write = self.rfile.readline, self.wfile.write
+        while raw := read(MAX_LINE):
+            if len(raw) == MAX_LINE and not raw.endswith(b"\n"):
+                while (rest := read(MAX_LINE)) and not rest.endswith(b"\n"):
+                    pass
+                reply = "ERR long"
+            else:
+                reply = session.handle(raw.decode("utf-8", errors="replace"))
             if reply is not None:
-                self.wfile.write((reply + "\n").encode("utf-8"))
+                write((reply + "\n").encode("utf-8"))
 
 
 class StreamServer(socketserver.ThreadingTCPServer):
@@ -113,9 +125,14 @@ def serve_tcp(ckpt, host, port):
 
 
 def load_replay(path, sensor_dims):
-    """Decode a recording in the format named by the manifest beside it."""
+    """Decode a recording on ``sensor_dims`` in the format named by the
+    manifest beside it.  ``FormatError`` if the manifest names another
+    sensor."""
     path = Path(path)
-    _, decode = read_manifest(path.parent)
+    sensor, decode = read_manifest(path.parent)
+    if sensor not in (None, tuple(sensor_dims)):
+        raise FormatError(f"{path}: the manifest names a {sensor} sensor, the checkpoint "
+                          f"is for {tuple(sensor_dims)}")
     return decode(path.read_bytes(), sensor_dims=sensor_dims)
 
 
@@ -136,16 +153,14 @@ def fast_replay(seq, ckpt, outfile, chunk=256):
     byte for byte.
 
     The checkpoint's session replays the whole recording (see
-    ``model.OnlineSession.replay``), which must be on the checkpoint's
-    sensor, ``chunk`` events at a time, so memory grows with ``chunk``
-    (plus INODE's fixed projection table), not with the recording.
+    ``model.OnlineSession.replay``, which raises ``ValueError`` for a
+    recording from another sensor), ``chunk`` events at a time, so memory
+    grows with ``chunk`` (plus INODE's projection table, bounded by the
+    sensor), not with the recording.
     Returns (events, seconds): the seconds cover all the work done chunk
     by chunk (the features, the recursion, the read-outs and the
     formatting), and not the session's set-up.
     """
-    if seq.sensor_dims != tuple(ckpt.sensor_dims):
-        raise ValueError(f"recording from a {seq.sensor_dims} sensor, checkpoint for "
-                         f"{ckpt.sensor_dims}")
     chunks = make_session(ckpt).replay(seq, chunk)
     started = time.perf_counter()
     for rows in chunks:

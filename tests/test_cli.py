@@ -221,6 +221,27 @@ def test_replay_of_a_recording_outside_the_sensor_exits_2(trained, tmp_path):
         assert "sensor" in proc.stderr
 
 
+@pytest.mark.parametrize("manifest, code", [('{"sensor": [28, 28]}', 2),
+                                            ('{"sensor": [34, 34]}', 0), ('{}', 0)])
+def test_replay_on_a_sensor_that_the_manifest_does_not_name_exits_2(trained, tmp_path,
+                                                                    manifest, code):
+    from inode.events import write_aer
+    from inode.synth import moving_dot
+    # every coordinate fits both sensors: only the manifest tells them apart
+    seq = moving_dot(0, seed=3, n_events=100, sensor_dims=(28, 28))
+    replay = tmp_path / "small.bin"
+    replay.write_bytes(write_aer(seq))
+    (tmp_path / "manifest.json").write_text(manifest)
+    for fast in ([], ["--fast"]):
+        proc = run_cli("stream", "--ckpt", str(trained), "--replay", str(replay), *fast)
+        if code:
+            _assert_clean_exit_2(proc)
+            assert "(28, 28) sensor" in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert len(proc.stdout.splitlines()) == 100
+
+
 def test_stream_replay_fast(trained, tmp_path):
     from inode.events import write_aer
     from inode.synth import moving_dot

@@ -93,9 +93,11 @@ def test_recurrent_core_parameter_count():
     assert lstm.hidden_dim_of(store) == 72
 
 
-def test_online_equals_batched_prefix_bitwise():
+@pytest.mark.parametrize("hidden", [5, 6, 7, 72])
+def test_online_equals_batched_prefix_bitwise(hidden):
+    """``observe`` runs ``_Cell.advance``, a one-row window ``_Cell.gates``."""
     stats = TimeStats(dq=100.0)
-    store = _store(seed=11, n_classes=2, hidden=6)
+    store = _store(seed=11, n_classes=2, hidden=hidden)
     seq = moving_dot(1, seed=12, n_events=120, noise_rate=0.1)
     s = 25
     rng = np.random.default_rng(13)
@@ -258,7 +260,7 @@ def test_fused_cell_with_biases_equals_generic_ops_bitwise(hidden, bidirectional
     generic = lstm_ops_forward(batch, store, en.Tape())
     assert np.array_equal(fused.logits, generic.logits)
     assert fused.loss == generic.loss
-    # a single row takes the online session's path through the cell
+    # a single row, as a one-row window runs it
     row = batch.features_with_dt()[:1]
     fused = generic = (np.zeros((1, hidden)), np.zeros((1, hidden)))
     cell = lstm._Cell(store, "fwd", 1).step

@@ -9,7 +9,8 @@ from helpers import (central_difference, inode_ops_forward, max_rel_err, observe
                      ops_gradients)
 from inode import engine as en
 from inode import model
-from inode.preprocess import Batch, TimeStats, make_batch, normalize_dt, normalize_sequence
+from inode.preprocess import (Batch, TimeStats, clamped_input, make_batch, normalize_dt,
+                              normalize_sequence)
 from inode.synth import moving_dot, moving_dot_dataset, scale_coordinates
 
 
@@ -423,6 +424,76 @@ def test_replay_past_the_table_cap_equals_observe_bitwise():
     seq = moving_dot(2, seed=75, n_events=1000, noise_rate=0.2, sensor_dims=dims)
     _assert_replay_rows_equal_observe(store, seq, moving_dot(0, seed=76, n_events=300,
                                                              sensor_dims=dims))
+
+
+def test_observe_of_a_polarity_off_the_table_equals_forward_bitwise():
+    """An event with a polarity other than 0 or 1 takes no table row, so
+    the pixel whose key it would share keeps its own projection."""
+    from inode.events import Event
+    stats = TimeStats(dq=100.0)
+    store = model.init_params(np.random.default_rng(95), 3)
+    # key (0 * 34 + 0) * 2 + 2 is the key of pixel (0, 1) at polarity 0
+    events = [Event(0, 0, 2, 0), Event(0, 1, 0, 40), Event(0, 1, 0, 90), Event(5, 5, 1, 150)]
+    clf = model.OnlineClassifier(store, stats, (34, 34))
+    for event in events:
+        clf.observe(event)
+    inputs = np.array([[clamped_input(event, (34, 34))[0] for event in events[:-1]]])
+    dtaus = normalize_dt(np.diff([event.t for event in events]), stats)[None]
+    res = model.forward(Batch(inputs, dtaus, np.array([0])), store)
+    assert np.array_equal(model.classify(clf.state, store)[0], res.logits[0, -1])
+
+
+def _count_projected_rows(monkeypatch):
+    """A list that grows by the number of rows of each ``_Step.project`` call."""
+    rows, project = [], model._Step.project
+
+    def counted(self, u, *outs):
+        rows.append(math.prod(u.shape[:-1]))
+        project(self, u, *outs)
+
+    monkeypatch.setattr(model._Step, "project", counted)
+    return rows
+
+
+def test_observe_projects_each_pixel_and_polarity_once_per_session(monkeypatch):
+    store = model.init_params(np.random.default_rng(90), 3)
+    seq = moving_dot(1, seed=91, n_events=3000, noise_rate=0.2)
+    pairs = {event[:3] for event in seq}
+    assert seq.sensor_dims == (34, 34) and len(pairs) < len(seq) // 2
+    session = model.OnlineClassifier(store, TimeStats(dq=100.0), seq.sensor_dims)
+    projected = _count_projected_rows(monkeypatch)
+    want = observed_rows(session, seq, range(len(seq)))
+    assert projected == [1] * len(pairs)
+    projected.clear()
+    session.reset()  # the table depends on the weights and the sensor alone
+    got = observed_rows(session, seq, range(len(seq)))
+    assert projected == []
+    assert all(np.array_equal(g[2], w[2]) and g[:2] == w[:2] for g, w in zip(got, want))
+
+
+def test_replay_after_observe_shares_the_table_and_equals_observe_bitwise(monkeypatch):
+    """A replay reads the rows that ``observe`` projected and projects the
+    rest into the same table, which ``observe`` then reads."""
+    from inode.events import EventSequence
+    store, stats = model.init_params(np.random.default_rng(94), 3), TimeStats(dq=100.0)
+    head = moving_dot(0, seed=92, n_events=400, noise_rate=0.2)
+    tail = moving_dot(1, seed=93, n_events=1500, noise_rate=0.2)
+    # the tail's first event at the head's last timestamp: a zero first gap
+    tail = EventSequence(tail.xs, tail.ys, tail.ps, tail.ts - tail.ts[0] + head.ts[-1])
+    session, reference = (model.OnlineClassifier(store, stats, (34, 34)) for _ in range(2))
+    for online in (session, reference):
+        observed_rows(online, head, range(len(head)))
+    want = observed_rows(reference, tail, range(len(tail)))
+    projected = _count_projected_rows(monkeypatch)
+    got = [row for rows in session.replay(tail, chunk=256) for row in rows]
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want))
+    # the replay projects the last event's pair only as a held input of a later chunk
+    new = {event[:3] for event in tail.truncated(len(tail) - 1)} - {event[:3] for event in head}
+    assert sum(projected) == len(new) > 0
+    projected.clear()
+    observed_rows(session, tail, range(len(tail) - 1))
+    assert projected == []
 
 
 def test_timestamp_regression_clamps_with_warning():

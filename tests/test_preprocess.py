@@ -93,8 +93,9 @@ def test_clamped_input_endpoints():
 
 
 def test_clamped_input_clamps_to_the_edge():
-    v, clamped = clamped_input(Event(99, 2, 1, 0), (34, 34))
+    v, clamped, pixel = clamped_input(Event(99, 2, 1, 0), (34, 34))
     assert clamped
+    assert pixel == (33, 2, 1)
     assert np.array_equal(v, clamped_input(Event(33, 2, 1, 0), (34, 34))[0])
 
 
@@ -109,13 +110,16 @@ def test_clamped_features_equal_normalize_sequence_bitwise(dims):
     n = len(xs)
     seq = EventSequence(xs, ys, np.arange(n) % 2, np.arange(n), sensor_dims=dims)
     rows = [clamped_input(event, dims) for event in seq]
-    assert not any(clamped for _, clamped in rows)
-    assert all(type(v) is float for features, _ in rows for v in features)
-    assert np.array_equal(np.array([features for features, _ in rows]), normalize_sequence(seq))
+    assert not any(clamped for _, clamped, _ in rows)
+    assert [pixel for _, _, pixel in rows] == [event[:3] for event in seq]
+    assert all(type(v) is float for features, _, _ in rows for v in features)
+    assert np.array_equal(np.array([features for features, _, _ in rows]),
+                          normalize_sequence(seq))
     # outside the sensor: the features of the nearest edge pixel
     for x, y in ((w, 0), (w + 7, h - 1), (0, h), (3 * w, 5 * h), (10 ** 400, 1)):
         edge = Event(min(x, w - 1), min(y, h - 1), 1, 0)
-        assert clamped_input(Event(x, y, 1, 0), dims) == (clamped_input(edge, dims)[0], True)
+        assert clamped_input(Event(x, y, 1, 0), dims) == (clamped_input(edge, dims)[0], True,
+                                                          edge[:3])
 
 
 def _labeled_sequence(n, label=1, gap=100):

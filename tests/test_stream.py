@@ -177,6 +177,29 @@ def test_tcp_server_round_trip_and_isolation():
         server.server_close()
 
 
+def test_tcp_server_answers_a_long_line_with_err_long_and_goes_on():
+    ckpt = _ckpt(seed=7)
+    server = stream.StreamServer(("127.0.0.1", 0), ckpt)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    event = "E 3 7 1 1000"
+    # the longest line the server takes, its newline included, and one byte more
+    longest = event + " " * (stream.MAX_LINE - len(event) - 1)
+    lines = [longest, "E 1 2 1 " + "9" * (1 << 20), longest + " ", "E 5 5 0 1100"]
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            fh = sock.makefile("rw", newline="\n")
+            fh.write("".join(line + "\n" for line in lines))
+            fh.flush()
+            got = [fh.readline() for _ in lines]
+    finally:
+        server.shutdown()
+        server.server_close()
+    local = _session(ckpt)
+    assert got == [local.handle(event) + "\n", "ERR long\n", "ERR long\n",
+                   local.handle(lines[-1]) + "\n"]
+
+
 def test_replay_file_round_trip(tmp_path):
     ckpt = _ckpt(seed=8)
     seq = moving_dot(0, seed=9, n_events=60)
