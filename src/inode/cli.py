@@ -225,7 +225,7 @@ def cmd_stream(args):
         print(f"listening on {host}:{port}", file=sys.stderr)
         streaming.serve_tcp(ckpt, host, port)
         return 0
-    streaming.serve_lines(streaming.LineSession(session), sys.stdin, sys.stdout)
+    streaming.serve_lines(streaming.LineSession(session), sys.stdin.buffer, sys.stdout.buffer)
     return 0
 
 

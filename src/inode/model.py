@@ -14,10 +14,11 @@ time with sample-and-hold inputs.
 The input's share of FC2, ``P(u) = tanh(FCu u) W2_bot + b2``, depends on
 the input row alone, and an event window repeats few rows: a 100 x 100
 window of 34 x 34 moving dots holds about 800 distinct ones.  So a
-window pass and a live session (its ``observe`` and its replay) each
-project every distinct row once into a table, of at most ``_TABLE_ROWS``
-rows, that their steps read; each row has the bits of the product that
-it replaces.
+window pass projects every distinct row once into a table, of at most
+``_TABLE_ROWS`` rows, that its steps read, and a live session (its
+``observe`` and its replay) keeps one such table per pixel and polarity,
+a direct-mapped cache on a sensor with more pairs than that; each row
+has the bits of the product that it replaces.
 """
 
 import warnings
@@ -33,8 +34,8 @@ from .preprocess import (CLAMP_WARNING, REGRESSION_WARNING, clamped_input, norma
 STATE_DIM = 30
 WIDTH = 128
 FEATURES = 3
-# the most rows of a projection table: a session's, one per pixel and
-# polarity (a 34 x 34 sensor has 2,312), is 4 MB at the default width, and
+# the most rows of a projection table: a session's, a cache of its pixel and
+# polarity pairs (a 34 x 34 sensor has 2,312), is 4 MB at the default width, and
 # a window's, one per distinct input row with its tanh(FCu u) row, 8 MB
 _TABLE_ROWS = 1 << 12
 # odd multipliers that mix the bits of a feature row's three columns into
@@ -78,11 +79,11 @@ class _Step:
     ``P`` can come from a table of the distinct input rows, one product
     over them all (``projections``), and still have the bits of the step's
     own: a window's steps read the one ``tabulate`` builds, and a live
-    session keeps one per pixel and polarity.  A batch (``step``) gets
-    fresh arrays per step, which its tape keeps for the adjoint.  A live
-    session and the replay run the same step on 1-D rows, one event at a
-    time (``advance``), in three buffers of the step's own: such a step
-    must not be shared between threads.
+    session keeps one of pixel-polarity pairs (``OnlineClassifier``).  A
+    batch (``step``) gets fresh arrays per step, which its tape keeps for
+    the adjoint.  A live session and the replay run the same step on 1-D
+    rows, one event at a time (``advance``), in three buffers of the
+    step's own: such a step must not be shared between threads.
     """
 
     def __init__(self, store):
@@ -374,7 +375,12 @@ class OnlineSession:
 
     def _gap(self, event):
         """Normalized gap since the previous event, 0 for the first one:
-        ``normalize_dt`` on a float."""
+        ``normalize_dt`` on a float.  Each kind's ``observe`` starts here,
+        so an event whose polarity is neither 0 nor 1 (one made by hand: a
+        decoder and the line protocol refuse it), which would alias another
+        pair's key, raises ``ValueError`` before any state changes."""
+        if event.p not in (0, 1):
+            raise ValueError(f"polarity {event.p!r} is neither 0 nor 1")
         dt = 0 if self._last_t is None else event.t - self._last_t
         if dt < 0:
             self.regressions += 1
@@ -387,13 +393,14 @@ class OnlineSession:
 
     def _input(self, event):
         """Features (x, y, p) of the event, its coordinates clamped into the
-        sensor, and the pixel and polarity ``(x, y, p)`` they are of."""
-        u, clamped, pixel = clamped_input(event, self.sensor_dims)
+        sensor, and the key ``(x H + y) 2 + p`` of the pixel and polarity
+        they are of."""
+        u, clamped, (x, y, p) = clamped_input(event, self.sensor_dims)
         if clamped:
             self.clamped += 1
             if self.clamped == 1:
                 warnings.warn(CLAMP_WARNING, stacklevel=3)
-        return u, pixel
+        return u, (x * self.sensor_dims[1] + y) * 2 + p
 
     def _predict(self, h):
         """(class, fresh posterior row) of a [1 x state] row; ties go to the
@@ -454,26 +461,23 @@ class OnlineClassifier(OnlineSession):
     step), then emits a read-out and holds the new input's ``P(u)`` row.
     Run over the S+1 events of a sampled window this reproduces
     ``forward`` exactly.  ``observe`` and the replay run one kernel,
-    ``_Step.advance``, and read one table of ``P(u)`` with a row per pixel
-    and polarity, filled as the pairs are first seen: one single-row
-    product each, whichever of the two sees it first.  Past
-    ``_TABLE_ROWS`` pairs the session keeps no table: ``observe`` projects
-    each event's row, and the replay the distinct pairs of each chunk.
-    ``observe`` also projects alone an event whose polarity is neither 0
-    nor 1, which has no row (an ``Event`` made by hand; a decoded
-    recording and the line protocol refuse it).  A session binds its own
-    step once, so sessions on one store may run in parallel threads.
+    ``_Step.advance``, and read one table of ``P(u)`` for any sensor: a
+    direct-mapped cache of ``min(2 W H, _TABLE_ROWS)`` rows, in which the
+    pixel and polarity of key ``(x H + y) 2 + p`` live in row ``key %
+    rows`` (the key itself within the cap) and ``_keys`` names the pair
+    that each row holds, -1 when none.  A pair is projected when its row
+    holds another, by one single-row product whichever of the two sees it
+    (so each row has the bits of the product it replaces), and memory stays
+    at most 4 MB.  A session binds its own step once, so sessions on one
+    store may run in parallel threads.
     """
 
     def __init__(self, store, stats, sensor_dims):
         self._step = _Step(store)
-        n_keys = 2 * sensor_dims[0] * sensor_dims[1]
-        self._table = self._new_table(n_keys) if n_keys <= _TABLE_ROWS else None
+        rows = min(2 * sensor_dims[0] * sensor_dims[1], _TABLE_ROWS)
+        self._table = np.empty((rows, self._step.w1.shape[1]))
+        self._keys = np.full(rows, -1)
         super().__init__(store, stats, sensor_dims)
-
-    def _new_table(self, rows):
-        """An empty ``P(u)`` table and the mask of its filled rows."""
-        return np.empty((rows, self._step.w1.shape[1])), np.zeros(rows, dtype=bool)
 
     def reset(self):
         super().reset()
@@ -485,41 +489,42 @@ class OnlineClassifier(OnlineSession):
         dtau = self._gap(event)
         if self._held_p is not None:
             self._step.advance(self.state[0], (self._held_p,), (dtau,), self.state)
-        u, (x, y, p) = self._input(event)
-        on_table = self._table is not None and p in (0, 1)
-        # past the cap or off the table, a table of one row that this event alone reads
-        table, filled = self._table if on_table else self._new_table(1)
-        key = (x * self.sensor_dims[1] + y) * 2 + p if on_table else 0
-        if not filled[key]:
-            self._step.project(np.array([u]), np.empty_like(table[:1]), table[key:key + 1])
-            filled[key] = True
-        self._held_p = table[key]
+        u, key = self._input(event)
+        table, row = self._table, key % len(self._keys)
+        if self._keys[row] != key:
+            self._step.project(np.array([u]), np.empty_like(table[:1]), table[row:row + 1])
+            self._keys[row] = key
+        self._held_p = table[row]
         return self._predict(self.state)
 
     def _recursion(self, seq, states):
-        """``_Step.advance`` over each chunk, from ``P(u)`` rows that the
-        session's table gives (past ``_TABLE_ROWS`` pairs, a table of the
-        distinct pairs of the chunk); the recording's first event only reads
-        out.  The rows new to a chunk are filled by one broadcast
-        single-row product (``_Step.projections``), with the bits of
-        ``observe``'s."""
-        step, dims, per_chunk = self._step, self.sensor_dims, self._table is None
-        table, filled = self._new_table(len(states)) if per_chunk else self._table
+        """``_Step.advance`` over each chunk, from the session table's
+        ``P(u)`` rows; the recording's first event only reads out.  The
+        distinct pairs of a chunk that their rows do not hold are projected
+        by one broadcast single-row product (``_Step.projections``), with
+        the bits of ``observe``'s, and handed to the chunk directly, as two
+        of them may share a row; then one pair per row is written back.  A
+        replay may evict the row that ``observe`` holds, so the held row is
+        copied first."""
+        step, dims, table, held = self._step, self.sensor_dims, self._table, self._keys
+        self._held_p = None if self._held_p is None else self._held_p.copy()
         states[0] = self.state
 
         def projections(lo, hi):
             keys = (seq.xs[lo:hi] * dims[1] + seq.ys[lo:hi]) * 2 + seq.ps[lo:hi]
-            if per_chunk:
-                keys = np.unique(keys, return_inverse=True)[1]
-                filled[:] = False
-            new = np.flatnonzero(~filled[keys])
-            if len(new):
-                fresh, first = np.unique(keys[new], return_index=True)
-                at = lo + new[first]
+            rows = keys % len(held)
+            ps = table[rows]
+            missing = np.flatnonzero(held[rows] != keys)
+            if len(missing):
+                fresh, first, inv = np.unique(keys[missing], return_index=True, return_inverse=True)
+                at = lo + missing[first]
                 u = normalize_events(seq.xs[at], seq.ys[at], seq.ps[at], dims)
-                table[fresh] = step.projections(u, single_row=True)[1]
-                filled[fresh] = True
-            return table[keys]
+                p = step.projections(u, single_row=True)[1]
+                ps[missing] = p[inv]
+                # fancy assignment leaves the winner of a repeated row undefined
+                slots, one = np.unique(fresh % len(held), return_index=True)
+                table[slots], held[slots] = p[one], fresh[one]
+            return ps
 
         def fill(lo, hi, gaps):
             lead = int(lo == 0)

@@ -18,10 +18,37 @@ from .errors import FormatError, ShapeError
 
 MAGIC = b"INODE1"
 VERSION = 1
+# the byte boundary on which every stored array starts: the live step's
+# single-row products run up to a fifth slower off it
+ALIGN = 64
+
+
+def _empty_aligned(shape):
+    """An uninitialised float64 array of ``shape`` that starts on an
+    ``ALIGN`` boundary, wherever the heap puts its buffer."""
+    size = int(np.prod(shape)) * 8
+    raw = np.empty(size + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + size].view(np.float64).reshape(shape)
+
+
+def _aligned(value):
+    """``value`` as a C-contiguous float64 array on an ``ALIGN`` boundary:
+    itself when it is one, else a copy.  The store's own arrays are made
+    with ``_empty_aligned`` and filled, not copied, as a freed source among
+    the weights moves where the heap puts a training epoch's temporaries:
+    an LSTM epoch then took 20 times the page faults."""
+    if (value.dtype == np.float64 and value.flags.c_contiguous
+            and value.ctypes.data % ALIGN == 0):
+        return value
+    out = _empty_aligned(value.shape)
+    out[...] = value
+    return out
 
 
 class ParamStore:
-    """Flat, insertion-ordered collection of named weight matrices."""
+    """Flat, insertion-ordered collection of named weight matrices, each a
+    copy of its own that starts on an ``ALIGN``-byte boundary."""
 
     def __init__(self):
         self._data = {}
@@ -36,7 +63,7 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} contains non-finite entries")
         if name in self._data:
             raise ValueError(f"duplicate parameter name {name!r}")
-        self._data[name] = value
+        self._data[name] = value = _aligned(value)
         return value
 
     def __getitem__(self, name):
@@ -47,7 +74,7 @@ class ParamStore:
             raise KeyError(name)
         if value.shape != self._data[name].shape:
             raise ShapeError(f"cannot reshape {name!r} from {self._data[name].shape} to {value.shape}")
-        self._data[name] = np.ascontiguousarray(value, dtype=np.float64)
+        self._data[name] = _aligned(value)
 
     def __contains__(self, name):
         return name in self._data
@@ -68,7 +95,8 @@ class ParamStore:
     def copy(self):
         out = ParamStore()
         for name, value in self._data.items():
-            out._data[name] = value.copy()
+            copied = out._data[name] = _empty_aligned(value.shape)
+            copied[...] = value
         return out
 
 
@@ -78,7 +106,9 @@ def init_store(rng, layout):
     store = ParamStore()
     for name, shape, drawn in layout:
         bound = 1.0 / np.sqrt(shape[0])
-        store.add(name, rng.uniform(-bound, bound, size=shape) if drawn else np.zeros(shape))
+        value = _empty_aligned(shape)
+        value[...] = rng.uniform(-bound, bound, size=shape) if drawn else 0.0
+        store.add(name, value)
     return store
 
 
@@ -116,7 +146,9 @@ def read_records(buf):
             name = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"record name {raw!r} is not UTF-8") from None
-        yield name, np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        value = _empty_aligned((rows, cols))
+        value[...] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+        yield name, value
 
 
 def save_store(store, path_or_buf, extra=()):

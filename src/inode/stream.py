@@ -10,9 +10,9 @@ Each valid event produces exactly one outbound line, in order:
 Malformed input produces ``ERR <reason>`` and leaves the state untouched:
 ``ERR parse`` for a line that is not one of the above, ``ERR range`` for a
 negative field, a polarity other than 0 or 1, or a timestamp outside the
-int64 range of the AER codecs.  Over TCP, a line longer than
-``MAX_LINE`` bytes (its newline included) gets ``ERR long``; the server
-reads the rest of it and drops it, and the connection goes on.
+int64 range of the AER codecs.  A line longer than ``MAX_LINE`` bytes
+(its newline included) gets ``ERR long``, on stdin as over TCP; the rest
+of it is read and dropped, and the session goes on.
 The protocol runs over stdin/stdout or a TCP socket (one isolated session
 per connection, all sharing the read-only parameter store), and binary
 AER files can be replayed through it, paced by their timestamps or at
@@ -35,7 +35,7 @@ from .events import Event, read_manifest
 _INTEGER = re.compile(r"-?[0-9]+")
 # one past the largest timestamp an AER codec decodes
 _T_LIMIT = 1 << 63
-# the most bytes of one line, its newline included, that the TCP server
+# the most bytes of one line, its newline included, that the line loop
 # holds: far above the longest valid event line (about 50 bytes)
 MAX_LINE = 1024
 
@@ -79,14 +79,22 @@ class LineSession:
 
 
 def serve_lines(session, infile, outfile):
-    """Blocking line loop, one reply line per answered line; returns the
-    number of answered events."""
-    n = 0
-    for line in infile:
-        reply = session.handle(line)
+    """Blocking line loop over binary streams, the one of stdin/stdout and
+    of each TCP connection: one reply line per answered line, flushed at
+    once; returns the number of answered events.  A line longer than
+    ``MAX_LINE`` bytes gets ``ERR long``, and the rest of it is read and
+    dropped, so a line of any length holds at most ``MAX_LINE`` bytes."""
+    n, read, write, flush = 0, infile.readline, outfile.write, outfile.flush
+    while raw := read(MAX_LINE):
+        if len(raw) == MAX_LINE and not raw.endswith(b"\n"):
+            while (rest := read(MAX_LINE)) and not rest.endswith(b"\n"):
+                pass
+            reply = "ERR long"
+        else:
+            reply = session.handle(raw.decode("utf-8", errors="replace"))
         if reply is not None:
-            outfile.write(reply + "\n")
-            outfile.flush()
+            write((reply + "\n").encode("utf-8"))
+            flush()
             if not reply.startswith("ERR"):
                 n += 1
     return n
@@ -96,17 +104,7 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True  # a reply goes out now, not after the client's next line
 
     def handle(self):
-        session = LineSession(make_session(self.server.ckpt))
-        read, write = self.rfile.readline, self.wfile.write
-        while raw := read(MAX_LINE):
-            if len(raw) == MAX_LINE and not raw.endswith(b"\n"):
-                while (rest := read(MAX_LINE)) and not rest.endswith(b"\n"):
-                    pass
-                reply = "ERR long"
-            else:
-                reply = session.handle(raw.decode("utf-8", errors="replace"))
-            if reply is not None:
-                write((reply + "\n").encode("utf-8"))
+        serve_lines(LineSession(make_session(self.server.ckpt)), self.rfile, self.wfile)
 
 
 class StreamServer(socketserver.ThreadingTCPServer):
@@ -155,8 +153,8 @@ def fast_replay(seq, ckpt, outfile, chunk=256):
     The checkpoint's session replays the whole recording (see
     ``model.OnlineSession.replay``, which raises ``ValueError`` for a
     recording from another sensor), ``chunk`` events at a time, so memory
-    grows with ``chunk`` (plus INODE's projection table, bounded by the
-    sensor), not with the recording.
+    grows with ``chunk`` (plus INODE's projection table, at most
+    ``model._TABLE_ROWS`` rows), not with the recording.
     Returns (events, seconds): the seconds cover all the work done chunk
     by chunk (the features, the recursion, the read-outs and the
     formatting), and not the session's set-up.

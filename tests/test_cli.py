@@ -135,6 +135,15 @@ def test_stream_stdin_round_trip(trained):
     assert [session.handle(lines[0]), session.handle(lines[2])] == [out[0], out[2]]
 
 
+def test_stream_stdin_answers_an_overlong_line_and_goes_on(trained):
+    """stdin reads a line at most ``MAX_LINE`` bytes at a time, as TCP does."""
+    lines = ["E 1 2 1 " + "9" * (1 << 20), "E 3 7 1 1000"]
+    proc = run_cli("stream", "--ckpt", str(trained), stdin="\n".join(lines) + "\n")
+    assert proc.returncode == 0, proc.stderr
+    session = LineSession(make_session(load_checkpoint(trained)))
+    assert proc.stdout.split("\n") == ["ERR long", session.handle(lines[1]), ""]
+
+
 def test_stream_missing_checkpoint_exits_2(tmp_path):
     proc = run_cli("stream", "--ckpt", str(tmp_path / "nope.ckpt"), stdin="")
     assert proc.returncode == 2

@@ -9,8 +9,7 @@ from helpers import (central_difference, inode_ops_forward, max_rel_err, observe
                      ops_gradients)
 from inode import engine as en
 from inode import model
-from inode.preprocess import (Batch, TimeStats, clamped_input, make_batch, normalize_dt,
-                              normalize_sequence)
+from inode.preprocess import Batch, TimeStats, make_batch, normalize_dt, normalize_sequence
 from inode.synth import moving_dot, moving_dot_dataset, scale_coordinates
 
 
@@ -417,7 +416,8 @@ def test_replay_rows_equal_observe_bitwise(state_dim, learnable_h0):
 
 def test_replay_past_the_table_cap_equals_observe_bitwise():
     """On a sensor with more pixel-polarity pairs than the table holds,
-    the replay projects the distinct pairs of each chunk anew."""
+    pairs share rows, and the replay projects each chunk's pairs that
+    their rows do not hold."""
     dims = (346, 260)
     assert 2 * dims[0] * dims[1] > model._TABLE_ROWS
     store = model.init_params(np.random.default_rng(74), 3)
@@ -426,21 +426,53 @@ def test_replay_past_the_table_cap_equals_observe_bitwise():
                                                              sensor_dims=dims))
 
 
-def test_observe_of_a_polarity_off_the_table_equals_forward_bitwise():
-    """An event with a polarity other than 0 or 1 takes no table row, so
-    the pixel whose key it would share keeps its own projection."""
+@pytest.mark.parametrize("rows", [1, 7])
+def test_replay_with_rows_colliding_in_a_chunk_equals_observe_bitwise(rows, monkeypatch):
+    """With a table of a row or a few, the pairs of one chunk share rows."""
+    monkeypatch.setattr(model, "_TABLE_ROWS", rows)
+    store = model.init_params(np.random.default_rng(96), 3)
+    seq = moving_dot(1, seed=97, n_events=600, noise_rate=0.2)
+    _assert_replay_rows_equal_observe(store, seq, moving_dot(2, seed=98, n_events=200))
+
+
+def test_replay_between_observes_keeps_the_held_row(monkeypatch):
+    """A replay may evict the row that ``observe`` holds; the session then
+    goes on as one that never replayed."""
+    monkeypatch.setattr(model, "_TABLE_ROWS", 1)
+    store, stats = model.init_params(np.random.default_rng(99), 3), TimeStats(dq=100.0)
+    seq = moving_dot(0, seed=100, n_events=300, noise_rate=0.2)
+    session, reference = (model.OnlineClassifier(store, stats, (34, 34)) for _ in range(2))
+    for online in (session, reference):
+        observed_rows(online, seq, range(200))
+    for rows in session.replay(moving_dot(3, seed=101, n_events=500, noise_rate=0.2), 256):
+        list(rows)
+    got, want = (observed_rows(online, seq, range(200, 300)) for online in (session, reference))
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want))
+    assert np.array_equal(session.state, reference.state)
+
+
+@pytest.mark.parametrize("kind", ["inode", "lstm"])
+def test_observe_refuses_a_polarity_other_than_0_or_1(kind):
+    """Polarity 2 at (x, y) would alias the key of (x, y + 1) at polarity
+    0; the event is refused before any state changes."""
+    from inode import lstm
     from inode.events import Event
-    stats = TimeStats(dq=100.0)
-    store = model.init_params(np.random.default_rng(95), 3)
-    # key (0 * 34 + 0) * 2 + 2 is the key of pixel (0, 1) at polarity 0
-    events = [Event(0, 0, 2, 0), Event(0, 1, 0, 40), Event(0, 1, 0, 90), Event(5, 5, 1, 150)]
-    clf = model.OnlineClassifier(store, stats, (34, 34))
-    for event in events:
-        clf.observe(event)
-    inputs = np.array([[clamped_input(event, (34, 34))[0] for event in events[:-1]]])
-    dtaus = normalize_dt(np.diff([event.t for event in events]), stats)[None]
-    res = model.forward(Batch(inputs, dtaus, np.array([0])), store)
-    assert np.array_equal(model.classify(clf.state, store)[0], res.logits[0, -1])
+    stats, rng = TimeStats(dq=100.0), np.random.default_rng(102)
+    clf = (model.OnlineClassifier(model.init_params(rng, 3), stats, (34, 34)) if kind == "inode"
+           else lstm.OnlineLstm(lstm.init_params(rng, 3, hidden=8), stats, (34, 34)))
+    clf.observe(Event(3, 4, 1, 1000))
+    with pytest.warns(UserWarning):
+        clf.observe(Event(40, 5, 0, 900))  # clamped, and a regression
+
+    def snapshot():
+        held = (clf.state, clf._held_p) if kind == "inode" else clf.state
+        return [a.tobytes() for a in held], clf.regressions, clf.clamped, clf._last_t
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="polarity"):
+        clf.observe(Event(0, 0, 2, 800))
+    assert snapshot() == before
 
 
 def _count_projected_rows(monkeypatch):
@@ -469,6 +501,22 @@ def test_observe_projects_each_pixel_and_polarity_once_per_session(monkeypatch):
     got = observed_rows(session, seq, range(len(seq)))
     assert projected == []
     assert all(np.array_equal(g[2], w[2]) and g[:2] == w[:2] for g, w in zip(got, want))
+
+
+def test_observe_past_the_cap_projects_a_pair_once_while_its_row_holds_it(monkeypatch):
+    """On a sensor past the cap, pairs whose rows differ stay in the table."""
+    from inode.events import EventSequence
+    dims, rng = (346, 260), np.random.default_rng(103)
+    xs, ys, ps = (rng.integers(0, n, 400) for n in (*dims, 2))
+    rows = ((xs * dims[1] + ys) * 2 + ps) % model._TABLE_ROWS
+    _, one = np.unique(rows, return_index=True)  # one pair per row
+    pick = rng.choice(one[:60], 2000)
+    seq = EventSequence(xs[pick], ys[pick], ps[pick], np.cumsum(rng.integers(1, 50, 2000)),
+                        sensor_dims=dims)
+    session = model.OnlineClassifier(model.init_params(rng, 3), TimeStats(dq=100.0), dims)
+    projected = _count_projected_rows(monkeypatch)
+    observed_rows(session, seq, range(len(seq)))
+    assert projected == [1] * len(set(pick))
 
 
 def test_replay_after_observe_shares_the_table_and_equals_observe_bitwise(monkeypatch):

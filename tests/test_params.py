@@ -319,3 +319,21 @@ def test_record_name_that_is_not_utf8_rejected():
     name = len(MAGIC) + 4 + 4
     with pytest.raises(FormatError, match="UTF-8"):
         load_records(io.BytesIO(_flipped(blob, name, 7)))
+
+
+def test_every_stored_array_starts_on_a_64_byte_boundary(tmp_path):
+    """Fresh, added, replaced, copied and loaded weights alike, whatever
+    offset the heap gives the array they come from."""
+    rng = np.random.default_rng(12)
+    fresh = model.init_params(rng, 3)
+    added = ParamStore()
+    for k in range(8):  # views 8 bytes apart, so most start off a boundary
+        added.add(f"w{k}", np.arange(40.0)[k:k + 30].reshape(5, 6))
+    replaced = _example_store()
+    replaced["layer_w"] = rng.standard_normal((12, 5))[1::4]
+    save_checkpoint(tmp_path / "m.ckpt", fresh, TimeStats(dq=100.0), "inode", 3,
+                    model.STATE_DIM, model.FEATURES, (34, 34))
+    loaded = load_checkpoint(tmp_path / "m.ckpt").store
+    for store in (fresh, added, replaced, fresh.copy(), loaded):
+        assert all(v.flags.c_contiguous and v.ctypes.data % 64 == 0 for _, v in store.items())
+    assert np.array_equal(added["w3"], np.arange(3.0, 33.0).reshape(5, 6))

@@ -87,10 +87,10 @@ def test_reset_restores_fresh_state():
 def test_one_outbound_line_per_event_in_order():
     session = _session(_ckpt())
     seq = moving_dot(0, seed=1, n_events=40)
-    out = io.StringIO()
-    n = stream.serve_lines(session, infile=io.StringIO(
-        "\n".join(f"E {e.x} {e.y} {e.p} {e.t}" for e in seq) + "\n"), outfile=out)
-    lines = out.getvalue().strip().split("\n")
+    out = io.BytesIO()
+    n = stream.serve_lines(session, infile=io.BytesIO(
+        "".join(f"E {e.x} {e.y} {e.p} {e.t}\n" for e in seq).encode()), outfile=out)
+    lines = out.getvalue().decode().strip().split("\n")
     assert n == 40
     assert len(lines) == 40
     assert [ln.split()[0] for ln in lines] == [str(t) for t in seq.ts]
@@ -404,13 +404,18 @@ def test_lstm_fast_replay_peak_memory():
     assert peak < LSTM_REPLAY_PEAK + 2 ** 20, peak
 
 
-@pytest.mark.parametrize("kind", ["inode", "lstm"])
-def test_fast_replay_memory_does_not_grow_with_the_recording(kind):
+# a sensor within INODE's table cap, and one past it
+@pytest.mark.parametrize("kind, dims", [("inode", (34, 34)), ("lstm", (34, 34)),
+                                        ("inode", (346, 260)), ("lstm", (346, 260))],
+                         ids=["inode", "lstm", "inode-346x260", "lstm-346x260"])
+def test_fast_replay_memory_does_not_grow_with_the_recording(kind, dims):
+    import dataclasses
     import tracemalloc
-    ckpt = _ckpt(seed=23, kind=kind, state_dim=6 if kind == "lstm" else 30)
+    ckpt = dataclasses.replace(_ckpt(seed=23, kind=kind, state_dim=6 if kind == "lstm" else 30),
+                               sensor_dims=dims)
     peaks = []
     for n_events in (2 ** 12, 2 ** 14):  # 16 and 64 chunks
-        seq = moving_dot(0, seed=24, n_events=n_events, noise_rate=0.1)
+        seq = moving_dot(0, seed=24, n_events=n_events, noise_rate=0.1, sensor_dims=dims)
         tracemalloc.start()
         try:
             stream.fast_replay(seq, ckpt, _Discard(), chunk=256)
