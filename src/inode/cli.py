@@ -194,6 +194,9 @@ def cmd_eval(args):
     seed = ckpt.config.get("seed") if isinstance(ckpt.config, dict) else None
     valid = type(seed) is int and seed >= 0
     _, test_set = _datasets(args, args.seed, seed if valid else None)
+    if test_set.class_count > ckpt.n_classes:  # a label the read-out has no class for
+        raise DatasetError(f"the held-out set has {test_set.class_count} classes; the "
+                           f"checkpoint classifies {ckpt.n_classes}")
     table = evaluate(ckpt.store, ckpt.stats, ckpt.kind, test_set, args.lengths,
                      seed=args.seed, repeats=args.repeats)
     for n in args.lengths:

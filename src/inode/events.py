@@ -259,8 +259,8 @@ def load_dataset(root, truncate_to=None, split="train"):
 
     Class names sorted lexicographically define the class indices; files
     are visited in sorted order so the sequence order is deterministic.
-    Unreadable files are skipped with a logged warning; DatasetError when
-    no file is left.
+    Unreadable files, and files that hold no event, are skipped with a
+    logged warning; DatasetError when no file is left.
     """
     root = Path(root)
     if not root.is_dir():
@@ -278,6 +278,8 @@ def load_dataset(root, truncate_to=None, split="train"):
         for path in files:
             try:
                 seq = decode(path.read_bytes(), sensor_dims=sensor, label=idx)
+                if not len(seq):
+                    raise FormatError("the file holds no event")
             except (OSError, FormatError, ValueError) as exc:
                 log.warning("skipping %s: %s", path, exc)
                 continue

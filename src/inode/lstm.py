@@ -3,16 +3,19 @@
 Baselines receive the normalized time step as a fourth input feature.
 Element i of a window carries the gap separating it from element i-1
 (zero at the head), so the exact same feature is computable online.
-The unidirectional model is trained with the same per-step averaged loss
-as the ODE classifier; the bidirectional one classifies from the two
-concatenated final states and is recomputed per prefix length, since its
-backward pass needs the whole prefix.
+Both run their windows through ``model.unroll``, the ODE classifier's
+loop.  The unidirectional model is trained with the same per-step
+averaged loss as the ODE classifier; the bidirectional one steps both
+directions in one step of the loop, classifies from the two concatenated
+final states with that read-out's loss (``unroll``'s final-only pass),
+and is recomputed per prefix length, since its backward pass needs the
+whole prefix.
 """
 
 import numpy as np
 
 from . import engine as en
-from .model import ForwardResult, OnlineSession, _val, classify, gradients, unroll
+from .model import OnlineSession, _val, gradients, unroll
 from .params import init_store
 from .preprocess import normalize_sequence
 
@@ -171,44 +174,29 @@ def _zero_state(b, hidden, tape):
     return tape.const(h), tape.const(c)
 
 
-def forward(batch, store, tape=None, *, final_only=False):
-    """The window's pass, bidirectional when the store is (unidirectional:
-    a read-out and loss after every step, or with ``final_only`` one
-    read-out of the final state and no loss, see ``model.unroll``)."""
-    if is_bidirectional(store):
-        return forward_bidirectional(batch, store, tape, final_only=final_only)
-    feats = batch.features_with_dt()
-    cell = _Cell(store, "fwd", batch.size).step  # binds its weights once for the window
-
-    def step(state, i):
-        return cell(state, feats[:, i, :], tape)
-
-    return unroll(batch, store, _zero_state(batch.size, hidden_dim_of(store), tape), step,
-                  tape, hidden=lambda state: state[0], final_only=final_only)
-
-
-def forward_bidirectional(batch, store, tape=None, cell=None, final_only=False):
-    """Both directions over the whole window; classify the joined final
-    states (no loss with ``final_only``).  ``cell(prefix)`` may replace a
-    direction's ``_Cell`` step for tests: ``model.unroll`` has no final-only
-    loss, so their reference would otherwise copy this loop."""
+def forward(batch, store, *, tape=None, final_only=False):
+    """The window's pass through ``model.unroll``.  Unidirectional: a
+    read-out and loss after every step, or with ``final_only`` one read-out
+    of the final state and its loss.  Bidirectional, always final-only:
+    step i runs the forward cell on element i, then the backward cell on
+    element S-1-i, and the joined final states ``[h_fwd, h_bwd]`` are read
+    out once."""
     feats = batch.features_with_dt()
     b, s = batch.size, batch.steps
     hidden = hidden_dim_of(store)
-    fwd = _zero_state(b, hidden, tape)
-    bwd = _zero_state(b, hidden, tape)
-    fwd_cell, bwd_cell = (_Cell(store, prefix, b).step if cell is None else cell(prefix)
-                          for prefix in ("fwd", "bwd"))
-    for i in range(s):
-        fwd = fwd_cell(fwd, feats[:, i, :], tape)
-        bwd = bwd_cell(bwd, feats[:, s - 1 - i, :], tape)
-    joined = en.concat(fwd[0], bwd[0])
-    z = classify(joined, store, tape)
-    with_loss = not final_only and bool(np.all(batch.labels >= 0))
-    loss_node = None
-    if with_loss:
-        loss_node, _ = en.softmax_cross_entropy(z, batch.labels)
-    return ForwardResult(logits=_val(z)[:, None, :], loss_node=loss_node)
+    fwd = _Cell(store, "fwd", b).step  # binds its weights once for the window
+    if not is_bidirectional(store):
+        return unroll(batch, store, _zero_state(b, hidden, tape),
+                      lambda state, i: fwd(state, feats[:, i, :], tape), tape,
+                      hidden=lambda state: state[0], final_only=final_only)
+    bwd = _Cell(store, "bwd", b).step
+
+    def step(states, i):
+        return fwd(states[0], feats[:, i, :], tape), bwd(states[1], feats[:, s - 1 - i, :], tape)
+
+    return unroll(batch, store, (_zero_state(b, hidden, tape), _zero_state(b, hidden, tape)),
+                  step, tape, hidden=lambda states: en.concat(states[0][0], states[1][0]),
+                  final_only=True)
 
 
 def backward_bptt(batch, store):

@@ -260,7 +260,8 @@ def classify(h, store, tape=None):
 class ForwardResult:
     logits: np.ndarray          # [B x S x C], one read-out per step ([B x 1 x C] for a
                                 # final-only pass or a bi-LSTM)
-    loss_node: object           # scalar mean loss, traced when a tape was given; None unlabeled
+    loss_node: object           # scalar mean loss over the read-outs, traced when a tape was
+                                # given; None when a label is missing
 
     @property
     def loss(self):
@@ -278,15 +279,17 @@ def unroll(batch, store, state, step, tape, hidden=lambda state: state, final_on
 
     With ``final_only`` the S steps run without a read-out, and only the
     final state is read out: [B x 1 x C] logits, the last step's bit for
-    bit, and no loss.
+    bit, and that read-out's cross-entropy as the loss.
     """
     b, s = batch.size, batch.steps
+    with_loss = bool(np.all(batch.labels >= 0))
     if final_only:
         for i in range(s):
             state = step(state, i)
-        return ForwardResult(logits=_val(classify(hidden(state), store, tape))[:, None, :],
-                             loss_node=None)
-    with_loss = bool(np.all(batch.labels >= 0))
+        z = classify(hidden(state), store, tape)
+        return ForwardResult(logits=_val(z)[:, None, :],
+                             loss_node=en.softmax_cross_entropy(z, batch.labels)[0]
+                             if with_loss else None)
     logits = np.empty((b, s, store["fcc_w"].shape[1]))
     loss_acc = None
     for i in range(s):
@@ -316,8 +319,9 @@ def _initial_state(store, rows, tape):
 
 
 def forward(batch, store, *, tape=None, final_only=False):
-    """Run the full window: S Euler steps, a read-out and loss after each
-    (``final_only``: one read-out of the final state, see ``unroll``).
+    """Run the full window through ``unroll``: S Euler steps, a read-out
+    and loss after each (``final_only``: only the final read-out and its
+    loss).
 
     With a tape, the returned loss node supports exact gradients via
     ``engine.backward``.  The steps take ``P(u)`` from a table of the

@@ -5,6 +5,11 @@ quantile of the training pool and clipped at ``dmax``; coordinates map to
 [-1, 1] and polarity to {-1, +1}.  Both transforms are exact in float64,
 so rescaling every raw timestamp by a common integer factor leaves every
 normalized step bit-identical.
+
+A batch holds one window of S steps per sequence, all on one sensor.
+``make_batch`` is the one sampler: it picks each window's S+1 events in
+one loop, a sequence shorter than that holding its last event, and
+normalizes the gathered block once.
 """
 
 from dataclasses import dataclass
@@ -110,32 +115,6 @@ def normalize_sequence(seq, lo=0, hi=None):
     return normalize_events(seq.xs[lo:hi], seq.ys[lo:hi], seq.ps[lo:hi], seq.sensor_dims)
 
 
-def sample_subsequence(seq, s_len, rng, stats):
-    """Random window of ``s_len`` inputs plus their normalized steps.
-
-    A window of S solver steps spans S+1 timestamps; the offset is uniform
-    over the feasible range.  Sequences shorter than S+1 events are padded
-    by holding the final event with a zero step.
-    """
-    m = len(seq)
-    if m < 1:
-        raise ValueError("cannot sample from an empty sequence")
-    feats = normalize_sequence(seq)
-    if m >= s_len + 1:
-        start = int(rng.integers(0, m - s_len))
-        inputs = feats[start:start + s_len]
-        gaps = np.diff(seq.ts[start:start + s_len + 1])
-        dtaus = normalize_dt(gaps, stats)
-        return inputs, dtaus
-    inputs = np.empty((s_len, 3))
-    inputs[:m] = feats
-    inputs[m:] = feats[-1]
-    dtaus = np.zeros(s_len)
-    if m > 1:
-        dtaus[: m - 1] = normalize_dt(np.diff(seq.ts), stats)
-    return inputs, dtaus
-
-
 @dataclass
 class Batch:
     """Stacked training window: inputs [B x S x 3], steps [B x S], labels [B]."""
@@ -165,33 +144,38 @@ class Batch:
 
 
 def make_batch(sequences, s_len, stats, rng):
-    """Sample one window per sequence and stack them into a batch.
+    """Sample one window of S steps per sequence and stack them into a batch.
 
-    The loop over the sequences draws each window's offset in sequence
-    order and takes its raw slices; the windows of every sequence with at
-    least S+1 events on the first sequence's sensor are then normalized as
-    one [B x S] block.  The other sequences, padded or on another sensor,
-    go through ``sample_subsequence`` in their turn.  Every value and draw
-    equals that of one ``sample_subsequence`` per sequence.
+    A window of S steps spans S+1 events.  The loop over the sequences
+    picks each window's events: those of a random offset, uniform over the
+    feasible range and drawn in sequence order, when the sequence has more
+    than S events; else all of them, the last one held to fill the window,
+    so that the held events' gaps are zero.  The windows are then gathered
+    into one block and normalized at once, padded windows included.  The
+    sequences must share one sensor; an empty sequence raises
+    ``ValueError``, and so does a list that mixes sensors.
     """
-    size = len(sequences)
-    inputs = np.empty((size, s_len, 3))
-    dtaus = np.empty((size, s_len))
-    labels = np.empty(size, dtype=np.int64)
-    dims = sequences[0].sensor_dims if sequences else None
-    rows, windows = [], []
-    for i, seq in enumerate(sequences):
-        labels[i] = -1 if seq.label is None else seq.label
-        if len(seq) > s_len and seq.sensor_dims == dims:
-            start = int(rng.integers(0, len(seq) - s_len))
-            rows.append(i)
-            windows.append((seq, slice(start, start + s_len)))
+    if not sequences:
+        return Batch(np.empty((0, s_len, 3)), np.empty((0, s_len)), np.empty(0, dtype=np.int64))
+    dims = {seq.sensor_dims for seq in sequences}
+    if len(dims) > 1:
+        raise ValueError(f"a batch mixes sensors: {sorted(dims)}")
+    steps = np.arange(s_len + 1)
+    windows = []
+    for seq in sequences:
+        m = len(seq)
+        if m > s_len:
+            start = int(rng.integers(0, m - s_len))
+            windows.append((seq, slice(start, start + s_len + 1)))
+        elif m:
+            windows.append((seq, np.minimum(steps, m - 1)))
         else:
-            inputs[i], dtaus[i] = sample_subsequence(seq, s_len, rng, stats)
-    if rows:
-        inputs[rows] = normalize_events(np.array([seq.xs[w] for seq, w in windows]),
-                                        np.array([seq.ys[w] for seq, w in windows]),
-                                        np.array([seq.ps[w] for seq, w in windows]), dims)
-        ts = np.array([seq.ts[w.start:w.stop + 1] for seq, w in windows])
-        dtaus[rows] = normalize_dt(np.diff(ts, axis=1), stats)
-    return Batch(inputs, dtaus, labels)
+            raise ValueError("cannot sample from an empty sequence")
+    xs = np.array([seq.xs[at] for seq, at in windows])
+    ys = np.array([seq.ys[at] for seq, at in windows])
+    ps = np.array([seq.ps[at] for seq, at in windows])
+    ts = np.array([seq.ts[at] for seq, at in windows])
+    labels = np.array([-1 if seq.label is None else seq.label for seq in sequences],
+                      dtype=np.int64)
+    return Batch(normalize_events(xs[:, :-1], ys[:, :-1], ps[:, :-1], dims.pop()),
+                 normalize_dt(np.diff(ts, axis=1), stats), labels)

@@ -31,7 +31,8 @@ from .errors import FormatError
 from .events import Event, read_manifest
 
 # a field of an event line; a sign or digit that int() would also take
-# ("+3", "1_0", non-ASCII digits) is a parse error, a leading "-" a range one
+# ("+3", "1_0", non-ASCII digits) is a parse error, a leading "-" a range
+# one, "-0" included
 _INTEGER = re.compile(r"-?[0-9]+")
 # one past the largest timestamp an AER codec decodes
 _T_LIMIT = 1 << 63
@@ -72,7 +73,8 @@ class LineSession:
             x, y, p, t = (int(v) for v in fields[1:])
         except ValueError:  # more digits than int() converts
             return "ERR parse"
-        if x < 0 or y < 0 or p not in (0, 1) or not 0 <= t < _T_LIMIT:
+        # each field is digits after an optional "-", so a "-" is a leading one
+        if "-" in line or p not in (0, 1) or t >= _T_LIMIT:
             return "ERR range"
         pred, posterior = self.classifier.observe(Event(x, y, p, t))
         return format_prediction(t, pred, posterior)

@@ -141,17 +141,28 @@ def lstm_ops(state, u, store, tape=None, prefix="fwd"):
 
 
 def lstm_ops_forward(batch, store, tape=None):
-    """``lstm.forward`` with the cell ``lstm_ops``: run by ``model.unroll``,
-    or for a bidirectional store by ``lstm.forward_bidirectional``."""
-    def cell(prefix):
-        return lambda state, u, tape: lstm_ops(state, u, store, tape, prefix)
+    """``lstm.forward`` with the cell ``lstm_ops``, run by ``model.unroll``:
+    for a bidirectional store one step runs the forward cell on element i,
+    then the backward cell on element S-1-i, final-only."""
+    feats, s = batch.features_with_dt(), batch.steps
+    hidden = lstm.hidden_dim_of(store)
 
-    if lstm.is_bidirectional(store):
-        return lstm.forward_bidirectional(batch, store, tape, cell=cell)
-    feats, step = batch.features_with_dt(), cell("fwd")
-    state = lstm._zero_state(batch.size, lstm.hidden_dim_of(store), tape)
-    return model.unroll(batch, store, state, lambda state, i: step(state, feats[:, i, :], tape),
-                        tape, hidden=lambda state: state[0])
+    def cell(prefix, state, i):
+        return lstm_ops(state, feats[:, i, :], store, tape, prefix)
+
+    if not lstm.is_bidirectional(store):
+        return model.unroll(batch, store, lstm._zero_state(batch.size, hidden, tape),
+                            lambda state, i: cell("fwd", state, i), tape,
+                            hidden=lambda state: state[0])
+
+    def step(states, i):
+        return cell("fwd", states[0], i), cell("bwd", states[1], s - 1 - i)
+
+    states = (lstm._zero_state(batch.size, hidden, tape),
+              lstm._zero_state(batch.size, hidden, tape))
+    return model.unroll(batch, store, states, step, tape,
+                        hidden=lambda states: en.concat(states[0][0], states[1][0]),
+                        final_only=True)
 
 
 def ops_gradients(forward, batch, store):

@@ -331,3 +331,32 @@ def test_a_test_split_without_a_readable_file_exits_2(trained, tmp_path, command
     # each skipped file is logged before the error
     assert proc.stderr.count("skipping") == 2
     assert proc.stderr.splitlines()[-1].startswith("error: no readable sequence under")
+
+
+def test_an_empty_recording_is_skipped_and_training_goes_on(tmp_path):
+    root = _data_root(tmp_path / "data", [6, 6])
+    (root / "c0" / "empty.bin").write_bytes(b"")
+    proc = run_cli("train", "--data", str(root), "--epochs", "1", "--batch", "4", "--s-len", "20",
+                   "--hidden", "4", "--out", str(tmp_path / "m.ckpt"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("skipping") == 1 and "empty.bin" in proc.stderr
+
+
+def test_a_root_of_empty_recordings_exits_2(tmp_path):
+    root = tmp_path / "data"
+    for c in range(2):
+        (root / f"c{c}").mkdir(parents=True)
+        (root / f"c{c}" / "s00.bin").write_bytes(b"")
+    proc = run_cli("train", "--data", str(root), "--s-len", "10", "--epochs", "1",
+                   "--out", str(tmp_path / "m.ckpt"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("skipping") == 2
+    assert proc.stderr.splitlines()[-1].startswith("error: no readable sequence under")
+
+
+def test_eval_on_more_classes_than_the_checkpoint_has_exits_2(trained):
+    proc = run_cli("eval", "--ckpt", str(trained), "--synthetic", "movedot3", "--train-count",
+                   "6", "--test-count", "6", "--synth-events", "60", "--lengths", "5")
+    _assert_clean_exit_2(proc)
+    assert "3 classes" in proc.stderr

@@ -7,7 +7,7 @@ import pytest
 from helpers import (central_difference, lstm_ops, lstm_ops_forward, max_rel_err,
                      observed_rows, ops_gradients)
 from inode import engine as en
-from inode import lstm
+from inode import lstm, model
 from inode.preprocess import Batch, TimeStats, make_batch
 from inode.synth import moving_dot
 
@@ -59,7 +59,7 @@ def test_bidirectional_gradients_match_finite_differences():
     store = _store(seed=5, bidirectional=True, hidden=4)
     batch = _batch(seed=6, s=4)
     grads, _ = lstm.backward_bptt(batch, store)
-    fd = central_difference(lambda: lstm.forward_bidirectional(batch, store).loss, store)
+    fd = central_difference(lambda: lstm.forward(batch, store).loss, store)
     assert max_rel_err(grads, fd) < 1e-5
 
 
@@ -69,7 +69,7 @@ def test_single_step_window_equals_one_cell_application():
     res = lstm.forward(batch, store)
     feats = batch.features_with_dt()
     h, _ = lstm._Cell(store, "fwd", 2).step((np.zeros((2, 5)), np.zeros((2, 5))), feats[:, 0, :])
-    z = lstm.classify(h, store)
+    z = model.classify(h, store)
     assert np.array_equal(res.logits[:, 0, :], z)
 
 
@@ -240,12 +240,11 @@ def test_fused_cell_gradients_equal_generic_tape(case):
 def test_fused_cell_forward_equals_generic_ops_bitwise(bidirectional):
     store = _store(seed=20, n_classes=10, hidden=72, bidirectional=bidirectional)
     batch = _paper_batch(seed=21, b=20, s=30)
-    run = lstm.forward_bidirectional if bidirectional else lstm.forward
-    fused = run(batch, store, tape=en.Tape())
+    fused = lstm.forward(batch, store, tape=en.Tape())
     generic = lstm_ops_forward(batch, store, en.Tape())
     assert np.array_equal(fused.logits, generic.logits)
     assert fused.loss == generic.loss
-    assert np.array_equal(fused.logits, run(batch, store).logits)
+    assert np.array_equal(fused.logits, lstm.forward(batch, store).logits)
     assert np.array_equal(fused.logits, lstm_ops_forward(batch, store).logits)
 
 

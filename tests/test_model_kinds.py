@@ -7,7 +7,8 @@ import pytest
 from inode import lstm, model, stream
 from inode.checkpoint import META_MODEL, MODEL_KINDS, load_checkpoint, save_checkpoint
 from inode.params import load_records
-from inode.preprocess import TimeStats, make_batch
+from inode.engine import softmax_cross_entropy
+from inode.preprocess import Batch, TimeStats, make_batch
 from inode.synth import moving_dot_dataset
 from inode.training import RunConfig, Trainer
 
@@ -79,4 +80,7 @@ def test_final_only_forward_equals_the_last_read_out_bitwise(kind):
     final = module.forward(batch, store, final_only=True)
     assert final.logits.shape == (6, 1, 3)
     assert np.array_equal(final.logits[:, 0, :], full.logits[:, -1, :])
-    assert final.loss_node is None and full.loss_node is not None
+    assert full.loss_node is not None
+    assert final.loss == float(softmax_cross_entropy(final.logits[:, 0, :], batch.labels)[0])
+    unlabeled = Batch(batch.inputs, batch.dtaus, np.full(batch.size, -1))
+    assert module.forward(unlabeled, store, final_only=True).loss_node is None

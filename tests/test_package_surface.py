@@ -52,10 +52,6 @@ KEEP = {
                                         "program builds one from the kind's layout",
     "lstm.init_params(bidirectional=)": "a bi-LSTM store for the tests; the program builds "
                                         "one from the kind's layout",
-    "lstm.forward_bidirectional(cell=)": "the generic-op reference of the bi-LSTM's "
-                                         "steps: model.unroll has no final-only loss, so "
-                                         "a reference without it would copy the "
-                                         "two-direction loop",
     "stream.fast_replay(chunk=)": "the tests show that the replay text does not depend "
                                   "on the chunk size",
 }

@@ -5,7 +5,6 @@ from inode.errors import DatasetError
 from inode.events import Dataset, Event, EventSequence
 from inode.preprocess import (
     TimeStats, clamped_input, compute_dq, make_batch, normalize_dt, normalize_sequence,
-    sample_subsequence,
 )
 from inode.synth import moving_dot, scale_coordinates
 
@@ -129,10 +128,16 @@ def _labeled_sequence(n, label=1, gap=100):
         np.arange(n) * gap, label=label)
 
 
+def _window(seq, s_len, rng, stats):
+    """``(inputs, dtaus)`` of the one window of a one-sequence batch."""
+    batch = make_batch([seq], s_len, stats, rng)
+    return batch.inputs[0], batch.dtaus[0]
+
+
 def test_sample_offset_forced_to_zero_when_tight():
     seq = _labeled_sequence(11)
     stats = TimeStats(dq=100.0)
-    inputs, dtaus = sample_subsequence(seq, 10, np.random.default_rng(0), stats)
+    inputs, dtaus = _window(seq, 10, np.random.default_rng(0), stats)
     assert np.array_equal(inputs, normalize_sequence(seq)[:10])
     assert dtaus.shape == (10,)
 
@@ -142,22 +147,22 @@ def test_sampled_steps_stay_in_range():
     stats = TimeStats(dq=50.0, dmax=1.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        _, dtaus = sample_subsequence(seq, 64, rng, stats)
+        _, dtaus = _window(seq, 64, rng, stats)
         assert np.all(dtaus >= 0.0) and np.all(dtaus <= 1.0)
 
 
 def test_sampling_is_deterministic_under_seed():
     seq = _labeled_sequence(300)
     stats = TimeStats(dq=100.0)
-    a = sample_subsequence(seq, 50, np.random.default_rng(7), stats)
-    b = sample_subsequence(seq, 50, np.random.default_rng(7), stats)
+    a = _window(seq, 50, np.random.default_rng(7), stats)
+    b = _window(seq, 50, np.random.default_rng(7), stats)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_short_sequence_padded_by_holding_last_event():
     seq = _labeled_sequence(4)
     stats = TimeStats(dq=100.0)
-    inputs, dtaus = sample_subsequence(seq, 10, np.random.default_rng(0), stats)
+    inputs, dtaus = _window(seq, 10, np.random.default_rng(0), stats)
     feats = normalize_sequence(seq)
     assert np.array_equal(inputs[:4], feats)
     assert np.all(inputs[4:] == feats[-1])
@@ -169,7 +174,7 @@ def test_sampling_never_fabricates_events():
     seq = _labeled_sequence(200)
     stats = TimeStats(dq=100.0)
     feats = {tuple(row) for row in normalize_sequence(seq)}
-    inputs, _ = sample_subsequence(seq, 60, np.random.default_rng(5), stats)
+    inputs, _ = _window(seq, 60, np.random.default_rng(5), stats)
     assert all(tuple(row) in feats for row in inputs)
 
 
@@ -193,9 +198,28 @@ def test_features_with_dt_shifts_gaps():
     assert np.array_equal(feats[0, 1:, 3], batch.dtaus[0, :-1])
 
 
+def _sample_subsequence(seq, s_len, rng, stats):
+    """One window sampled alone: the offset uniform over the feasible range
+    when the sequence has S+1 events or more, else the whole sequence
+    padded by holding its last event with zero steps."""
+    m = len(seq)
+    feats = normalize_sequence(seq)
+    if m >= s_len + 1:
+        start = int(rng.integers(0, m - s_len))
+        return feats[start:start + s_len], normalize_dt(np.diff(seq.ts[start:start + s_len + 1]),
+                                                        stats)
+    inputs = np.empty((s_len, 3))
+    inputs[:m] = feats
+    inputs[m:] = feats[-1]
+    dtaus = np.zeros(s_len)
+    if m > 1:
+        dtaus[: m - 1] = normalize_dt(np.diff(seq.ts), stats)
+    return inputs, dtaus
+
+
 def _per_row_batch(sequences, s_len, stats, rng):
-    """``make_batch`` spelled out: one ``sample_subsequence`` per row."""
-    rows = [sample_subsequence(seq, s_len, rng, stats) for seq in sequences]
+    """``make_batch`` spelled out: one ``_sample_subsequence`` per row."""
+    rows = [_sample_subsequence(seq, s_len, rng, stats) for seq in sequences]
     labels = [-1 if seq.label is None else seq.label for seq in sequences]
     return np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), np.array(labels)
 
@@ -205,14 +229,32 @@ def test_make_batch_equals_per_row_sampling_bitwise(s_len):
     long = [moving_dot(k % 4, seed=k, n_events=400) for k in range(4)]
     unlabeled = EventSequence(long[1].xs, long[1].ys, long[1].ps, long[1].ts)
     wide = moving_dot(2, seed=9, n_events=400, sensor_dims=(64, 48))
-    rows = [long[0], long[1].truncated(s_len + 1), long[2].truncated(s_len), unlabeled,
-            wide, long[3].truncated(max(s_len // 2, 1)), wide.truncated(s_len + 1), long[3]]
+    narrow = [long[0], long[1].truncated(s_len + 1), long[2].truncated(s_len), unlabeled,
+              long[3].truncated(max(s_len // 2, 1)), long[3]]
+    wide = [wide, wide.truncated(s_len + 1), wide.truncated(3), wide.truncated(s_len)]
     stats = TimeStats(dq=77.0, dmax=1.5)
-    for sequences in (rows, rows[::-1]):  # each sensor leads once
-        rng, ref_rng = np.random.default_rng(s_len), np.random.default_rng(s_len)
-        batch = make_batch(sequences, s_len, stats, rng)
-        inputs, dtaus, labels = _per_row_batch(sequences, s_len, stats, ref_rng)
-        assert np.array_equal(batch.inputs, inputs)
-        assert np.array_equal(batch.dtaus, dtaus)
-        assert np.array_equal(batch.labels, labels)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for rows in (narrow, wide):  # one batch per sensor
+        for sequences in (rows, rows[::-1]):
+            rng, ref_rng = np.random.default_rng(s_len), np.random.default_rng(s_len)
+            batch = make_batch(sequences, s_len, stats, rng)
+            inputs, dtaus, labels = _per_row_batch(sequences, s_len, stats, ref_rng)
+            assert np.array_equal(batch.inputs, inputs)
+            assert np.array_equal(batch.dtaus, dtaus)
+            assert np.array_equal(batch.labels, labels)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_make_batch_refuses_mixed_sensors_and_empty_sequences():
+    narrow = moving_dot(0, seed=1, n_events=50)
+    wide = moving_dot(1, seed=2, n_events=50, sensor_dims=(64, 48))
+    empty = narrow.truncated(0)
+    stats = TimeStats(dq=100.0)
+    for sequences in ([narrow, wide], [wide, narrow], [narrow, empty], [empty]):
+        with pytest.raises(ValueError):
+            make_batch(sequences, 10, stats, np.random.default_rng(0))
+
+
+def test_an_empty_list_gives_an_empty_batch():
+    batch = make_batch([], 10, TimeStats(dq=100.0), np.random.default_rng(0))
+    assert batch.inputs.shape == (0, 10, 3) and batch.dtaus.shape == (0, 10)
+    assert batch.labels.shape == (0,) and batch.labels.dtype == np.int64

@@ -53,6 +53,9 @@ def test_malformed_lines_get_err_and_leave_state_alone():
     assert session.handle("E 1 2 3 10") == "ERR range"
     assert session.handle("E 1 2 1") == "ERR parse"
     assert session.handle("E -1 2 1 10") == "ERR range"
+    # a leading "-" is a range error even on a zero
+    for line in ("E -0 0 0 0", "E 0 -0 0 0", "E 0 0 -0 0", "E 0 0 0 -0", "E -00 0 1 5"):
+        assert session.handle(line) == "ERR range"
     # only ASCII digits: no sign, underscore or other script, nor more than int() converts
     for line in ("E 1_0 2 1 1_000", "E +3 2 1 10", "E \u0663 2 1 20", "E 1 2 1 " + "9" * 5000):
         assert session.handle(line) == "ERR parse"
