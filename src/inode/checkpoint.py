@@ -15,6 +15,7 @@ import numpy as np
 
 from . import lstm, model
 from .errors import FormatError
+from .events import MAX_SENSOR
 from .params import ParamStore, load_records, save_store
 from .preprocess import TimeStats
 
@@ -85,12 +86,21 @@ def _check_layout(store, kind, n_classes, state_dim, features):
                               f"{have.get(name, 'nothing')}, expected {want.get(name, 'nothing')}")
 
 
+def _check_sensor(width, height):
+    """FormatError for a sensor that no event of the aer16 layout could
+    address, whose pixel keys would overflow a session's table."""
+    if max(width, height) > MAX_SENSOR:
+        raise FormatError(f"checkpoint sensor {width:g} x {height:g} exceeds {MAX_SENSOR} "
+                          "pixels per axis")
+
+
 def save_checkpoint(path, store, stats, kind, n_classes, state_dim, features,
                     sensor_dims, config=None):
     """Write a checkpoint; ValueError for an unknown kind, FormatError for a
     store or geometry that ``load_checkpoint`` would refuse."""
     model_kind(kind)
     _check_layout(store, kind, n_classes, state_dim, features)
+    _check_sensor(*sensor_dims)
     extra = [
         (META_STATS, np.array([[stats.dq, stats.dmax]])),
         (META_MODEL, np.array([[float(list(MODEL_KINDS).index(kind)), float(n_classes),
@@ -127,6 +137,7 @@ def load_checkpoint(path):
     for field, value in geometry.items():
         if not (float(value).is_integer() and value > 0):
             raise FormatError(f"checkpoint {field} must be a positive integer, got {value!r}")
+    _check_sensor(w, h)
     config = None
     blob = records.pop(META_CONFIG, None)
     if blob is not None:

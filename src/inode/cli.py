@@ -14,7 +14,7 @@ from pathlib import Path
 from . import stream as streaming
 from .checkpoint import MODEL_KINDS, load_checkpoint
 from .errors import DatasetError, FormatError, NaNLossError
-from .events import load_dataset, split_dataset
+from .events import class_names, load_dataset, split_dataset
 from .synth import moving_dot_dataset, num_patterns
 from .training import DEFAULT_EVAL_LENGTHS, RunConfig, evaluate, report, train
 
@@ -108,6 +108,11 @@ def _datasets(args, seed, split_seed):
         return train_set, test_set
     root = Path(args.data)
     if (root / "train").is_dir() and (root / "test").is_dir():
+        train_names, test_names = (set(class_names(root / split)) for split in ("train", "test"))
+        if train_names != test_names:
+            raise DatasetError(f"the class directories of {root}/train and {root}/test differ: "
+                               f"only in train/ {sorted(train_names - test_names)}, "
+                               f"only in test/ {sorted(test_names - train_names)}")
         return (load_dataset(root / "train", truncate_to=args.truncate, split="train"),
                 load_dataset(root / "test", truncate_to=args.truncate, split="test"))
     full = load_dataset(root, truncate_to=args.truncate)

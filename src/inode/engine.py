@@ -242,26 +242,40 @@ def softmax_cross_entropy(logits, labels):
     n, c = lv.shape
     if labels.shape != (n,):
         raise ShapeError(f"softmax_cross_entropy: labels {labels.shape} for logits {lv.shape}")
-    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= c:
-        raise ValueError(f"label out of range [0, {c})")
+    check_labels(labels, c)
+    rows = np.arange(n)
+    loss, e, denom = _cross_entropy(lv, labels, rows)
+    probs = e / denom
+    if not isinstance(logits, Node):
+        return loss, probs
+    return logits.tape.record(loss, (logits,),
+                              lambda g: (_cross_entropy_grad(e, denom, labels, rows, g),)), probs
+
+
+def check_labels(labels, n_classes):
+    """ValueError unless every label is a class of ``n_classes``."""
+    if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
+        raise ValueError(f"label out of range [0, {n_classes})")
+
+
+def _cross_entropy(lv, labels, rows):
+    """``(mean loss, exp(shifted logits), their row sums)`` of logits
+    ``lv`` against ``labels``, one per row of ``rows = arange(B)``."""
     shifted = lv - lv.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     denom = e.sum(axis=1, keepdims=True)
-    probs = e / denom
-    rows = np.arange(n)
     # log-sum-exp form keeps the saturated case exact
     nll = np.log(denom[:, 0]) - shifted[rows, labels]
-    loss = np.asarray(nll.mean())
-    if not isinstance(logits, Node):
-        return loss, probs
+    return np.asarray(nll.mean()), e, denom
 
-    def grad_fn(g, probs=probs, labels=labels, rows=rows, n=n):
-        gl = probs.copy()
-        gl[rows, labels] -= 1.0
-        gl *= float(g) / n
-        return (gl,)
 
-    return logits.tape.record(loss, (logits,), grad_fn), probs
+def _cross_entropy_grad(e, denom, labels, rows, g):
+    """The logits' gradient of ``_cross_entropy``'s loss, scaled by ``g``:
+    a fresh [B x C] array."""
+    gl = e / denom
+    gl[rows, labels] -= 1.0
+    gl *= float(g) / len(rows)
+    return gl
 
 
 def backward(tape, loss):
@@ -270,12 +284,21 @@ def backward(tape, loss):
     Pure: calling it twice on the same tape yields identical results.
     Parameters the loss does not depend on get zero gradients; unnamed
     leaves (constants, inputs) get none.
+
+    A node's gradient is the sum of its uses' contributions, in the
+    order the reverse walk meets them.  The first is kept as its
+    ``grad_fn`` returned it, which may be shared (``add`` returns one
+    array for both operands), so it is never written to; the second sum
+    allocates a buffer that this pass owns, and later contributions are
+    added into that buffer in place: the same IEEE adds in the same
+    order as fresh sums.
     """
     if not isinstance(loss, Node):
         raise ValueError("backward needs a traced loss node")
     if loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     grads = {loss: np.ones_like(loss.value)}
+    owned = set()  # the nodes whose gradient is a buffer of this pass
     out = {}
     for node in reversed(tape.nodes):
         g = grads.pop(node, None)
@@ -290,7 +313,14 @@ def backward(tape, loss):
             if pg is None or not parent.needs_grad:
                 continue
             acc = grads.get(parent)
-            grads[parent] = pg if acc is None else acc + pg
+            if acc is None:
+                grads[parent] = pg
+            elif parent in owned:
+                acc += pg
+                grads[parent] = acc  # a NumPy scalar is rebound, not updated
+            else:
+                grads[parent] = acc + pg
+                owned.add(parent)
     for name, node in tape._params.items():
         if name not in out:
             out[name] = np.zeros_like(node.value)

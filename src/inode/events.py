@@ -33,6 +33,8 @@ T_WRAP = 1 << 23
 T_DROP = 1 << 22
 
 DEFAULT_SENSOR = (34, 34)
+# pixels per axis: the most that the aer16 layout's 16-bit coordinates address
+MAX_SENSOR = 1 << 16
 
 _AER16_DTYPE = np.dtype([("x", "<u2"), ("y", "<u2"), ("p", "u1"), ("t", "<u4")])
 
@@ -245,8 +247,9 @@ def read_manifest(root):
         if "sensor" in meta:
             sensor = meta["sensor"]
             if not (isinstance(sensor, list) and len(sensor) == 2
-                    and all(type(n) is int and n > 0 for n in sensor)):
-                raise DatasetError(f"manifest sensor must be two positive integers, got {sensor!r}")
+                    and all(type(n) is int and 0 < n <= MAX_SENSOR for n in sensor)):
+                raise DatasetError(f"manifest sensor must be two integers in 1..{MAX_SENSOR}, "
+                                   f"got {sensor!r}")
             sensor = tuple(sensor)
         fmt = meta.get("format", fmt)
         if fmt not in ("aer", "aer16"):
@@ -267,11 +270,11 @@ def load_dataset(root, truncate_to=None, split="train"):
         raise DatasetError(f"no such dataset directory: {root}")
     sensor, decode = read_manifest(root)
     sensor = sensor or DEFAULT_SENSOR
-    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    if not class_dirs:
+    names = class_names(root)
+    if not names:
         raise DatasetError(f"no class directories under {root}")
     sequences = []
-    for idx, cdir in enumerate(class_dirs):
+    for idx, cdir in enumerate(root / name for name in names):
         files = sorted(cdir.glob("*.bin"))
         if not files:
             raise DatasetError(f"class directory {cdir} holds no .bin files")
@@ -288,7 +291,13 @@ def load_dataset(root, truncate_to=None, split="train"):
             sequences.append(seq)
     if not sequences:
         raise DatasetError(f"no readable sequence under {root}")
-    return Dataset(sequences, class_count=len(class_dirs), split=split)
+    return Dataset(sequences, class_count=len(names), split=split)
+
+
+def class_names(root):
+    """The sorted names of the class directories under ``root``: class i
+    of ``load_dataset`` is the i-th."""
+    return sorted(d.name for d in Path(root).iterdir() if d.is_dir())
 
 
 def subset_fraction(dataset, rho, seed):

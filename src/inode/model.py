@@ -79,11 +79,15 @@ class _Step:
     ``P`` can come from a table of the distinct input rows, one product
     over them all (``projections``), and still have the bits of the step's
     own: a window's steps read the one ``tabulate`` builds, and a live
-    session keeps one of pixel-polarity pairs (``OnlineClassifier``).  A
-    batch (``step``) gets fresh arrays per step, which its tape keeps for
-    the adjoint.  A live session and the replay run the same step on 1-D
-    rows, one event at a time (``advance``), in three buffers of the
-    step's own: such a step must not be shared between threads.
+    session keeps one of pixel-polarity pairs (``OnlineClassifier``).
+
+    A batch step (``step``) writes its activations and its new state into
+    buffers that its pass allocates once (``buffers``): a traced pass
+    hands each step its own rows of per-window blocks, which the tape
+    keeps for the adjoint; an untraced pass hands every step one set.  A
+    live session and the replay run the same step on 1-D rows, one event
+    at a time (``advance``), in three buffers of the step's own: such a
+    step must not be shared between threads.
     """
 
     def __init__(self, store):
@@ -150,31 +154,57 @@ class _Step:
         self._table = p, tanh_u if traced else None
         return np.ascontiguousarray(rows.reshape(b, s).T)
 
-    def layers(self, h, u, rows=None):
-        """``(hidden, act, f(h, u))`` for rows of plain arrays: the two
-        tanh activations and the state derivative.  With ``rows``, ``P(u)``
-        comes from the table of ``tabulate``, and so does ``hidden``'s
-        ``tanh(FCu u)`` half if the table kept it; else it is left unset."""
-        width = self.w1.shape[1]
-        hidden, top, act, dh = (np.empty((len(h), n))
-                                for n in (2 * width, width, width, self.w3.shape[1]))
-        lo, hi = hidden[:, :width], hidden[:, width:]
+    def buffers(self, b, s, traced):
+        """The arrays that a pass of ``s`` steps over ``b`` rows writes
+        into, as a function of the step number that gives the step's
+        ``(hidden, act, state, lo, top)``: the [B x 2W] tanh activations
+        ``[tanh(FC1 h), tanh(FCu u)]`` that the adjoint reads, the [B x W]
+        second one, the [B x state] new state and two [B x W] scratch
+        buffers.  A traced pass gets [S x B x ...] blocks and step i their
+        row i, which the tape keeps; an untraced pass, which keeps no
+        ``hidden`` (None), one set for every step, with two state buffers
+        used in turn, so a step never overwrites the state it reads."""
+        width, d = self.w1.shape[1], self.w3.shape[1]
+        lo, top = np.empty((b, width)), np.empty((b, width))
+        if traced:
+            hidden, act, states = (np.empty((s, b, n)) for n in (2 * width, width, d))
+            return lambda i: (hidden[i], act[i], states[i], lo, top)
+        act, states = np.empty((b, width)), np.empty((2, b, d))
+        return lambda i: (None, act, states[i % 2], lo, top)
+
+    def layers(self, h, u, rows, out):
+        """f(h, u) for rows of plain arrays, into the state buffer of the
+        step buffers ``out`` (see ``buffers``), which it returns; the
+        second tanh activation goes to its buffer, and both halves of the
+        first to ``hidden`` unless it is None.  With ``rows``, ``P(u)``
+        comes from the table of ``tabulate``, and so does ``tanh(FCu u)``
+        if the table kept it.  ``h`` must not be the state buffer.  The
+        activations are computed in the contiguous scratch and copied to
+        ``hidden``'s strided halves: a ufunc on a strided view runs one
+        inner loop per row, which cost 13 us more per tanh at B = 100,
+        W = 128 (2-core x86 host), and the bits do not depend on the
+        layout."""
+        hidden, act, dh, lo, top = out
         if rows is None:
-            self.project(u, hi, act)
+            self.project(u, top, act)
         else:
             p, tanh_u = self._table
             np.take(p, rows, axis=0, out=act, mode="clip")  # "clip" writes unbuffered
             if tanh_u is not None:
-                hi[...] = tanh_u[rows]
+                np.take(tanh_u, rows, axis=0, out=top, mode="clip")
         np.matmul(h, self.w1, out=lo)
         lo += self.b1
         np.tanh(lo, out=lo)
+        if hidden is not None:
+            width = self.w1.shape[1]
+            hidden[:, :width] = lo
+            hidden[:, width:] = top
         np.matmul(lo, self.w2_top, out=top)
         act += top
         np.tanh(act, out=act)
         np.matmul(act, self.w3, out=dh)
         dh += self.b3
-        return hidden, act, dh
+        return dh
 
     def advance(self, h, ps, gaps, outs, dot=np.dot, add=np.add, mul=np.multiply,
                 tanh=np.tanh):
@@ -199,24 +229,30 @@ class _Step:
             mul(d_buf, gap, d_buf)
             h = add(h, d_buf, out)
 
-    def step(self, h, u, dtau, tape=None, rows=None):
-        """``euler_step`` with this step's weights; a fresh state.  ``rows``
-        are the table rows of ``u``, see ``layers``."""
+    def step(self, h, u, dtau, out, tape=None, rows=None):
+        """``euler_step`` with this step's weights, into the step buffers
+        ``out`` (see ``buffers``): returns their state buffer, or on a tape
+        its node.  ``rows`` are the table rows of ``u``, see ``layers``."""
         hv = _val(h)
-        hidden, act, dh = self.layers(hv, u, rows)
-        dh *= dtau
-        out = hv + dh
+        state = self.layers(hv, u, rows, out)
+        state *= dtau
+        state += hv
         if tape is None:
-            return out
+            return state
+        hidden, act = out[:2]
         w1, w2, w3 = self.w1, self.w2, self.w3
         width = w1.shape[1]
 
         # the generic ops' adjoints, product for product and in their order,
-        # so the gradients equal those of the unfused tape bit for bit
+        # so the gradients equal those of the unfused tape bit for bit; FC2's
+        # products stay whole, as a product over a half of its rows or
+        # columns may round otherwise (OpenBLAS 0.3.31, B = 7, W = 128)
         def grad_fn(g):
             gd = g * dtau
-            gz2 = (gd @ w3.T) * (1.0 - act * act)
-            gz1 = (gz2 @ w2.T) * (1.0 - hidden * hidden)
+            gz2 = gd @ w3.T
+            gz2 *= _tanh_slope(act)
+            gz1 = gz2 @ w2.T
+            gz1 *= _tanh_slope(hidden)
             gh, gu = gz1[:, :width], gz1[:, width:]
             return (g + gh @ w1.T,
                     hv.T @ gh, gh.sum(axis=0, keepdims=True),
@@ -227,12 +263,19 @@ class _Step:
         p = _binder(self.store, tape)
         parents = (h, p("fc1_w"), p("fc1_b"), p("fcu_w"), p("fcu_b"),
                    p("fc2_w"), p("fc2_b"), p("fc3_w"), p("fc3_b"))
-        return tape.record(out, parents, grad_fn)
+        return tape.record(state, parents, grad_fn)
+
+
+def _tanh_slope(t):
+    """``1 - t * t``, the slope of tanh where it is ``t``, in one fresh array."""
+    out = t * t
+    return np.subtract(1.0, out, out=out)
 
 
 def f_eval(h, u, store):
     """State derivative f(h, u) for a batch of rows of plain arrays."""
-    return _Step(store).layers(h, u)[2]
+    kernel = _Step(store)
+    return kernel.layers(h, u, None, kernel.buffers(len(h), 1, traced=True)(0))
 
 
 def euler_step(h, u, dtau, store, tape=None, dynamics=None):
@@ -246,14 +289,9 @@ def euler_step(h, u, dtau, store, tape=None, dynamics=None):
     stays alive until backward.
     """
     if dynamics is None:
-        return _Step(store).step(h, u, dtau, tape)
+        kernel = _Step(store)
+        return kernel.step(h, u, dtau, kernel.buffers(len(u), 1, traced=True)(0), tape)
     return en.add(h, en.mul(dtau, dynamics(h, u, store, tape)))
-
-
-def classify(h, store, tape=None):
-    """Read-out logits g(h)."""
-    p = _binder(store, tape)
-    return en.add(en.matmul(h, p("fcc_w")), p("fcc_b"))
 
 
 @dataclass
@@ -272,34 +310,70 @@ def _val(x):
     return x.value if isinstance(x, en.Node) else x
 
 
+class _ReadOut:
+    """The read-out g(h) = FCc(h) of a window pass, fused with the
+    cross-entropy of its logits and the running sum of the window's
+    losses: a call writes the logits of a state into a [B x C] view and
+    returns the loss sum so far, on a tape as one node.  The node has the
+    products of the generic ops it replaces (``matmul``, ``add``,
+    ``softmax_cross_entropy`` and the ``add`` of the sum), so its adjoint
+    has their bits; the tape holds the node at its step's place, as the
+    order in which a state's gradient terms add up must stay (an LSTM's
+    ``h`` gets five).  The labels are checked once per window; without a
+    loss (a label missing) the calls return None."""
+
+    def __init__(self, store, labels, tape):
+        self.tape = tape
+        self.wc, self.bc = store["fcc_w"], store["fcc_b"]
+        self.labels = labels if np.all(labels >= 0) else None
+        if self.labels is not None:
+            en.check_labels(labels, self.wc.shape[1])
+            self.rows = np.arange(len(labels))
+
+    def __call__(self, h, out, acc=None):
+        hv = _val(h)
+        np.matmul(hv, self.wc, out=out)
+        out += self.bc
+        labels, tape = self.labels, self.tape
+        if labels is None:
+            return None
+        rows, wc = self.rows, self.wc
+        loss, e, denom = en._cross_entropy(out, labels, rows)
+        total = loss if acc is None else _val(acc) + loss
+        if tape is None:
+            return total
+
+        def grad_fn(g):
+            gl = en._cross_entropy_grad(e, denom, labels, rows, g)
+            return (gl @ wc.T, hv.T @ gl, gl.sum(axis=0, keepdims=True), g)
+
+        parents = (h, tape.param("fcc_w", wc), tape.param("fcc_b", self.bc))
+        return tape.record(total, parents if acc is None else (*parents, acc), grad_fn)
+
+
 def unroll(batch, store, state, step, tape, hidden=lambda state: state, final_only=False):
     """Run ``step(state, i)`` over the window's S steps with a read-out of
-    ``hidden(state)`` after each.  The loss is the mean cross-entropy over
-    all steps and batch rows; it is None when any label is missing.
+    ``hidden(state)`` after each (``_ReadOut``).  The loss is the mean
+    cross-entropy over all steps and batch rows; it is None when any label
+    is missing.
 
     With ``final_only`` the S steps run without a read-out, and only the
     final state is read out: [B x 1 x C] logits, the last step's bit for
     bit, and that read-out's cross-entropy as the loss.
     """
     b, s = batch.size, batch.steps
-    with_loss = bool(np.all(batch.labels >= 0))
+    read_out = _ReadOut(store, batch.labels, tape)
     if final_only:
         for i in range(s):
             state = step(state, i)
-        z = classify(hidden(state), store, tape)
-        return ForwardResult(logits=_val(z)[:, None, :],
-                             loss_node=en.softmax_cross_entropy(z, batch.labels)[0]
-                             if with_loss else None)
-    logits = np.empty((b, s, store["fcc_w"].shape[1]))
-    loss_acc = None
+        logits = np.empty((b, 1, read_out.wc.shape[1]))
+        return ForwardResult(logits=logits, loss_node=read_out(hidden(state), logits[:, 0]))
+    logits = np.empty((b, s, read_out.wc.shape[1]))
+    loss_sum = None
     for i in range(s):
         state = step(state, i)
-        z = classify(hidden(state), store, tape)
-        logits[:, i, :] = _val(z)
-        if with_loss:
-            step_loss, _ = en.softmax_cross_entropy(z, batch.labels)
-            loss_acc = step_loss if loss_acc is None else en.add(loss_acc, step_loss)
-    loss_node = en.scale(loss_acc, 1.0 / s) if loss_acc is not None else None
+        loss_sum = read_out(hidden(state), logits[:, i], loss_sum)
+    loss_node = en.scale(loss_sum, 1.0 / s) if loss_sum is not None else None
     return ForwardResult(logits=logits, loss_node=loss_node)
 
 
@@ -328,13 +402,16 @@ def forward(batch, store, *, tape=None, final_only=False):
     window's distinct input rows (``_Step.tabulate``), bit for bit the
     product each would run: a gemm over the rows, or single-row products
     for a window of one row.  Past ``_TABLE_ROWS`` distinct rows each step
-    projects its own.
+    projects its own.  Either way the steps write into the buffers that
+    ``_Step.buffers`` allocates once for the pass.
     """
     kernel = _Step(store)  # binds its weights and the window's table once
-    rows = kernel.tabulate(batch.inputs, traced=tape is not None)
+    traced = tape is not None
+    rows = kernel.tabulate(batch.inputs, traced)
+    buffers = kernel.buffers(batch.size, batch.steps, traced)
 
     def step(h, i):
-        return kernel.step(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], tape,
+        return kernel.step(h, batch.inputs[:, i, :], batch.dtaus[:, i:i + 1], buffers(i), tape,
                            None if rows is None else rows[i])
 
     return unroll(batch, store, _initial_state(store, batch.size, tape), step, tape,

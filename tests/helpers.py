@@ -73,6 +73,12 @@ def cross_entropy_direct(logits, labels):
     return float(np.mean(losses)), np.array(probs)
 
 
+def read_out(h, store):
+    """The read-out logits g(h) = h FCc + b_c of a plain state, with the
+    products and sums a window pass runs."""
+    return h @ store["fcc_w"] + store["fcc_b"]
+
+
 def row_slice(x, lo, hi):
     """Rows ``lo:hi`` of a matrix as an engine op, which the engine does not
     have: its adjoint scatters the gradient back into the whole matrix."""

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import record_starts
 from inode import lstm, model
-from inode.checkpoint import load_checkpoint, save_checkpoint
+from inode.checkpoint import META_MODEL, load_checkpoint, save_checkpoint
 from inode.errors import FormatError
+from inode.params import ParamStore, load_records, save_store
 from inode.preprocess import TimeStats
 
 KINDS = ["inode", "inode_h0", "lstm", "bilstm"]
@@ -66,3 +67,20 @@ def test_every_bit_flip_loads_or_raises_format_error(kind, data):
         load_checkpoint(io.BytesIO(damaged))
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("sensor", [(65537, 34), (34, 2.0 ** 62)])
+def test_a_sensor_past_what_aer16_addresses_raises_format_error(sensor):
+    """One flipped exponent bit of the stored width gives such a sensor,
+    whose pixel keys would overflow a session's table."""
+    records = load_records(io.BytesIO(BLOBS["inode"]))
+    records[META_MODEL][0, 4:] = sensor
+    buf = io.BytesIO()
+    save_store(ParamStore(), buf, extra=list(records.items()))
+    with pytest.raises(FormatError, match="65536 pixels per axis"):
+        load_checkpoint(io.BytesIO(buf.getvalue()))
+    ckpt = load_checkpoint(io.BytesIO(BLOBS["inode"]))
+    with pytest.raises(FormatError, match="65536 pixels per axis"):
+        save_checkpoint(io.BytesIO(), ckpt.store, ckpt.stats, kind=ckpt.kind,
+                        n_classes=ckpt.n_classes, state_dim=ckpt.state_dim,
+                        features=ckpt.features, sensor_dims=sensor)

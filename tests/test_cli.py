@@ -360,3 +360,26 @@ def test_eval_on_more_classes_than_the_checkpoint_has_exits_2(trained):
                    "6", "--test-count", "6", "--synth-events", "60", "--lengths", "5")
     _assert_clean_exit_2(proc)
     assert "3 classes" in proc.stderr
+
+
+@pytest.mark.parametrize("test_classes", [("c0", "c1", "c2"), ("c0", "d1")],
+                         ids=["more_classes", "renamed_class"])
+def test_train_on_splits_whose_classes_differ_exits_2_before_the_first_epoch(tmp_path,
+                                                                              test_classes):
+    """Each split indexes its classes by its own sorted directory names, so
+    a test/ with more classes, or with a class named otherwise, would be
+    scored against the wrong labels."""
+    from inode.events import write_aer
+    from inode.synth import moving_dot
+    root = tmp_path / "data"
+    _data_root(root / "train", [4, 4])
+    for c, name in enumerate(test_classes):
+        (root / "test" / name).mkdir(parents=True)
+        (root / "test" / name / "s00.bin").write_bytes(write_aer(moving_dot(c, seed=c,
+                                                                            n_events=40)))
+    proc = run_cli("train", "--data", str(root), "--s-len", "10", "--epochs", "1",
+                   "--hidden", "4", "--out", str(tmp_path / "m.ckpt"))
+    _assert_clean_exit_2(proc)
+    assert "class directories" in proc.stderr and "only in test/ ['" in proc.stderr
+    assert "epoch" not in proc.stdout
+    assert not (tmp_path / "m.ckpt").exists()

@@ -204,6 +204,61 @@ def test_backward_is_pure():
         assert np.array_equal(first[name], second[name])
 
 
+def test_backward_sums_an_operand_used_twice_by_one_op():
+    """``add`` returns one array for both operands; the second use must not
+    be added into it."""
+    store = ParamStore()
+    x = store.add("x", np.random.default_rng(8).standard_normal((3, 4)))
+    tape = en.Tape()
+    node = tape.param("x", x)
+    doubled = en.add(node, node)
+    grads = en.backward(tape, en.sum_all(en.tanh(doubled)))
+    out = np.tanh(doubled.value)
+    want = 1.0 - out * out
+    assert np.array_equal(grads["x"], want + want)
+    assert np.array_equal(doubled.value, x + x)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), ()])
+def test_backward_sums_three_uses_in_the_order_of_the_reverse_walk(shape):
+    """x + x c + x d: the later uses add into a buffer of the pass in place,
+    with the bits of fresh sums, and never into the array that the outer
+    ``add`` hands both its operands, which the pending x c still reads.
+    A 0-d gradient, whose sums are NumPy scalars, too."""
+    rng = np.random.default_rng(9)
+    x, c, d = (np.asarray(rng.standard_normal(shape)) for _ in range(3))
+    held = [v.copy() for v in (x, c, d)]
+    tape = en.Tape()
+    node = tape.param("x", x)
+    xc, xd = en.mul(node, c), en.mul(node, d)
+    grads = en.backward(tape, en.sum_all(en.add(en.add(node, xc), xd)))
+    assert np.array_equal(grads["x"], (1.0 + d) + c)  # the reverse walk meets x, x d, x c
+    assert all(np.array_equal(v, h) for v, h in zip((x, c, d), held))
+
+
+@pytest.mark.parametrize("module", [model, lstm])
+def test_backward_twice_on_one_tape_leaves_values_and_gradients_untouched(module):
+    """A second pass over one tape gives the first's gradients bit for bit
+    and writes into no node's value and no array the first returned."""
+    rng = np.random.default_rng(10)
+    store = (model.init_params(rng, 3, state_dim=4, width=6) if module is model
+             else lstm.init_params(rng, 3, hidden=5))
+    batch = Batch(rng.uniform(-1, 1, (4, 6, 3)), rng.uniform(0, 1, (4, 6)),
+                  rng.integers(0, 3, 4))
+    tape = en.Tape()
+    loss = module.forward(batch, store, tape=tape).loss_node
+    values = [np.array(node.value, copy=True) for node in tape.nodes]
+    first = en.backward(tape, loss)
+    held = {name: g.copy() for name, g in first.items()}
+    second = en.backward(tape, loss)
+    assert list(first) == list(second)
+    for name in first:
+        assert np.array_equal(first[name], held[name]), name
+        assert np.array_equal(second[name], held[name]), name
+        assert first[name] is not second[name]
+    assert all(np.array_equal(node.value, value) for node, value in zip(tape.nodes, values))
+
+
 def test_untraced_ops_return_plain_arrays():
     a = np.ones((2, 2))
     for out in (en.add(a, a), en.mul(a, a), en.tanh(a), en.concat(a, a)):

@@ -188,6 +188,16 @@ def test_manifest_rejects_bad_sensor(tmp_path, sensor):
         read_manifest(tmp_path)
 
 
+@pytest.mark.parametrize("sensor", [[65537, 34], [34, 2 ** 62]])
+def test_manifest_rejects_a_sensor_past_what_aer16_addresses(tmp_path, sensor):
+    """A pixel key of such a sensor would overflow a session's table."""
+    (tmp_path / "manifest.json").write_text(json.dumps({"sensor": sensor}))
+    with pytest.raises(DatasetError, match="1..65536"):
+        read_manifest(tmp_path)
+    (tmp_path / "manifest.json").write_text(json.dumps({"sensor": [65536, 65536]}))
+    assert read_manifest(tmp_path)[0] == (65536, 65536)
+
+
 def test_subset_fraction_keeps_ceil(tmp_path):
     seqs = [EventSequence([0], [0], [0], [i], label=0) for i in range(10)]
     ds = Dataset(seqs, class_count=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (central_difference, lstm_ops, lstm_ops_forward, max_rel_err,
-                     observed_rows, ops_gradients)
+                     observed_rows, ops_gradients, read_out)
 from inode import engine as en
 from inode import lstm, model
 from inode.preprocess import Batch, TimeStats, make_batch
@@ -69,7 +69,7 @@ def test_single_step_window_equals_one_cell_application():
     res = lstm.forward(batch, store)
     feats = batch.features_with_dt()
     h, _ = lstm._Cell(store, "fwd", 2).step((np.zeros((2, 5)), np.zeros((2, 5))), feats[:, 0, :])
-    z = model.classify(h, store)
+    z = read_out(h, store)
     assert np.array_equal(res.logits[:, 0, :], z)
 
 
@@ -271,10 +271,13 @@ def test_fused_cell_with_biases_equals_generic_ops_bitwise(hidden, bidirectional
 
 
 def test_paper_batch_records_two_nodes_per_cell_step():
+    """Each step records the new c and h and its read-out, the read-out's
+    cross-entropy and the loss sum fused in one node; add the two start
+    states, the 14 weights and the mean's scale."""
     store = _store(seed=22, n_classes=10, hidden=72)
     tape = en.Tape()
     lstm.forward(_paper_batch(seed=23), store, tape=tape)
-    assert len(tape.nodes) <= 700
+    assert len(tape.nodes) == 3 * 100 + 2 + 14 + 1
 
 
 def test_paper_batch_bptt_peak_memory():

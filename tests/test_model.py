@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (central_difference, inode_ops_forward, max_rel_err, observed_rows,
-                     ops_gradients)
+                     ops_gradients, read_out)
 from inode import engine as en
 from inode import model
 from inode.preprocess import Batch, TimeStats, make_batch, normalize_dt, normalize_sequence
@@ -121,7 +121,7 @@ def test_s_equals_one_reduces_to_single_step():
     batch = _tiny_batch(seed=4, b=3, s=1)
     res = model.forward(batch, store)
     h = model.euler_step(np.zeros((3, 4)), batch.inputs[:, 0, :], batch.dtaus[:, :1], store)
-    z = model.classify(h, store)
+    z = read_out(h, store)
     assert np.array_equal(res.logits[:, 0, :], z)
     loss, _ = en.softmax_cross_entropy(z, batch.labels)
     assert float(loss) == res.loss
@@ -206,10 +206,42 @@ def test_fused_step_forward_equals_generic_ops_bitwise():
 
 
 def test_paper_batch_records_one_node_per_euler_step():
+    """Each step records its Euler step and its read-out, the read-out's
+    cross-entropy and the loss sum fused in one node; add the start state,
+    the ten weights and the mean's scale."""
     store = model.init_params(np.random.default_rng(96), n_classes=10)
     tape = en.Tape()
     model.forward(_paper_batch(seed=97), store, tape=tape)
-    assert len(tape.nodes) <= 600
+    assert len(tape.nodes) == 2 * 100 + 1 + 10 + 1
+
+
+def _large_blocks(forward):
+    """The number of blocks of 64 KB or more that ``forward()`` allocates
+    and leaves alive."""
+    tracemalloc.start()
+    try:
+        kept = forward()  # noqa: F841  its tape holds the blocks
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    return sum(trace.size >= 64 * 2 ** 10 for trace in snapshot.traces)
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["table", "per_step"])
+def test_traced_window_keeps_a_number_of_large_blocks_that_does_not_grow_with_s(table):
+    """A traced pass allocates its steps' arrays once, as [S x B x ...]
+    blocks whose rows the tape keeps, so the blocks of 64 KB or more that
+    it leaves are as many at S = 100 as at S = 50 (B = 200 puts every
+    per-window array of S = 50 over 64 KB)."""
+    store = model.init_params(np.random.default_rng(119), n_classes=4)
+
+    def blocks(s):
+        batch = (_dot_batch(200, s, seed=120) if table
+                 else _paper_batch(seed=120, b=200, s=s, n_classes=4))
+        assert (model._Step(store).tabulate(batch.inputs, traced=False) is None) != table
+        return _large_blocks(lambda: (tape := en.Tape(), model.forward(batch, store, tape=tape)))
+
+    assert 0 < blocks(100) <= blocks(50)
 
 
 def test_paper_batch_bptt_peak_memory():
@@ -349,7 +381,7 @@ def test_online_matches_offline_bitwise():
         last = None
         for i in range(start, start + s + 1):
             last = clf.observe(seq.event(i))
-        assert np.array_equal(model.classify(clf.state, store)[0], res.logits[0, -1])
+        assert np.array_equal(read_out(clf.state, store)[0], res.logits[0, -1])
         assert np.array_equal(last[1], en.softmax(res.logits[0, -1:], axis=1)[0])
 
 

@@ -4,6 +4,7 @@ training, checkpoint and the streaming endpoint."""
 import numpy as np
 import pytest
 
+from inode import engine as en
 from inode import lstm, model, stream
 from inode.checkpoint import META_MODEL, MODEL_KINDS, load_checkpoint, save_checkpoint
 from inode.params import load_records
@@ -84,3 +85,28 @@ def test_final_only_forward_equals_the_last_read_out_bitwise(kind):
     assert final.loss == float(softmax_cross_entropy(final.logits[:, 0, :], batch.labels)[0])
     unlabeled = Batch(batch.inputs, batch.dtaus, np.full(batch.size, -1))
     assert module.forward(unlabeled, store, final_only=True).loss_node is None
+
+
+@pytest.mark.parametrize("b", [1, 2, 100])
+@pytest.mark.parametrize("kind", ["inode", "inode_past_the_cap", "lstm", "bilstm"])
+def test_untraced_and_traced_passes_give_equal_logits_and_losses_bitwise(kind, b, monkeypatch):
+    """An untraced pass runs every step in one set of buffers, a traced one
+    in its own rows of per-window blocks; INODE's steps read the window's
+    projection table or, past the cap, project their own."""
+    rng = np.random.default_rng(10 + b)
+    if kind == "inode_past_the_cap":
+        monkeypatch.setattr(model, "_TABLE_ROWS", 0)
+    if kind.startswith("inode"):
+        store, module = model.init_params(rng, 3), model
+    else:
+        store, module = lstm.init_params(rng, 3, 8, bidirectional=kind == "bilstm"), lstm
+    sequences = moving_dot_dataset(3, -(-b // 3), seed=b, n_events=60).sequences[:b]
+    batch = make_batch(sequences, 40, TimeStats(dq=90.0), rng)
+    if module is model:
+        tabulated = model._Step(store).tabulate(batch.inputs, traced=False) is not None
+        assert tabulated == (kind == "inode")
+    for final_only in (False, True):
+        plain = module.forward(batch, store, final_only=final_only)
+        traced = module.forward(batch, store, tape=en.Tape(), final_only=final_only)
+        assert np.array_equal(plain.logits, traced.logits)
+        assert plain.loss == traced.loss
