@@ -58,74 +58,71 @@ def _names(prefix, gates):
 
 class _Cell:
     """The fused LSTM cell of one direction, its gate weights bound once:
-    W_* and U_* in row order (i, f, o, g) and the biases stacked into one
-    [4 x 1 x H] block.
+    the [4 x 4 x H] input and [4 x H x H] recurrent gate stacks, in row
+    order (i, f, o, g), and the biases stacked into one [4 x 1 x H] block.
 
-    A batch step (``step``), a one-row window's too, runs ``gates`` into
-    fresh arrays, which its tape keeps.  A single-row cell (``rows == 1``)
-    also binds the [4 x 4 x H] input and [4 x H x H] recurrent gate stacks
-    and owns [4 x 1 x H] scratch, which ``advance``, the step of a live
-    session and of the replay, fills in place; such a cell must not be
-    shared between threads.  ``advance`` has the bits of ``step`` on one
-    row (the tests pin it).  A broadcast ``np.matmul`` over a stack
-    runs one single-row product per item, so each gate's product has the
-    bits of its own ``np.dot``; a concatenated product such as
-    ``[u h] @ [W; U]``, or a gemm over several rows, sums in another order.
+    Every step, a window's (``step``), a live session's and the replay's,
+    runs one body, ``advance``, on arrays that its pass allocates once
+    (``buffers``); the cell itself holds none, so threads may share it.
+    A broadcast ``np.matmul`` over a stack runs one product per item, so
+    each gate's product has the bits of its own ``np.dot`` (the tests pin
+    it); a concatenated product such as ``[u h] @ [W; U]`` sums in
+    another order.
     """
 
-    def __init__(self, store, prefix, rows):
+    def __init__(self, store, prefix):
         self.store = store
-        rows_names = _names(prefix, _ROWS)
-        self.ws = [store[w] for w, _, _ in rows_names]
-        self.us = [store[u] for _, u, _ in rows_names]
-        self.bias = np.stack([store[b] for _, _, b in rows_names])
-        if rows == 1:
-            self.w4, self.u4 = np.stack(self.ws), np.stack(self.us)
-            self.ux = np.empty_like(self.bias)  # the input products of one event
-            self._z = z = np.empty_like(self.bias)
-            self._scratch = np.empty_like(z[:3])
-            self._views = (z[:3], z[3], *z[:3])  # sigmoid rows, g, then i, f, o
+        names = _names(prefix, _ROWS)
+        self.w4, self.u4, self.bias = (np.stack([store[row[k]] for row in names])
+                                       for k in range(3))
+        self.us = [store[u] for _, u, _ in names]  # the adjoints' products
         # the generic cell's leaf order, which fixes the order of the
         # gradient dictionary that ``engine.backward`` returns
         self.leaf_names = _names(prefix, GATES)
 
-    def gates(self, u, h):
-        """Fresh activations sigmoid(i, f, o) and tanh(g) of a batch step.
+    def buffers(self, b, s, traced):
+        """The arrays that a pass of ``s`` steps over ``b`` rows writes
+        into, as a function of the step number that gives the step's
+        ``(ux, c, h, views)``: the [4 x B x H] input products, the [B x H]
+        new cell state and output, and the views of a [4 x B x H] gate
+        block that ``advance`` takes.  A traced pass gets [S x 4 x B x H]
+        gate and [S x B x H] c and h blocks and step i their row i, which
+        the tape keeps; an untraced pass one set for every step, updated
+        in place, whose ``i*g`` product goes into g."""
+        shape = (b, self.bias.shape[-1])
+        ux, scratch = np.empty((4, *shape)), np.empty((3, *shape))
+        if traced:
+            z, c, h = np.empty((s, 4, *shape)), np.empty((s, *shape)), np.empty((s, *shape))
+            ig = np.empty(shape)
+            return lambda i: (ux, c[i], h[i], (z[i], z[i, :3], *z[i], ig, scratch))
+        z, c, h = np.empty((4, *shape)), np.empty(shape), np.empty(shape)
+        views = (z, z[:3], *z, z[3], scratch)
+        return lambda i: (ux, c, h, views)
 
-        Each gate's pre-activation is (u W + h U) + b from two products of
-        its own.  On a stacked scratch, a B = 100, H = 72 training epoch ran
-        5-15% slower, and stacked sigmoid results held by the tape raised
-        its peak RSS by about 4 MB (2-core x86 host, one OpenBLAS thread).
-        """
-        zs = []
-        for w, uw, b in zip(self.ws, self.us, self.bias):
-            z = u @ w
-            z += h @ uw
-            z += b
-            zs.append(z)
-        return [en._sigmoid(z) for z in zs[:3]], np.tanh(zs[3])
-
-    def advance(self, ux, h, c, h_out):
-        """One single-row step in place: ``ux`` holds the four input
-        products u W_* as a [4 x 1 x H] block; ``c`` becomes the new cell
-        state and ``h_out`` (which may be ``h``) the new output, bit for bit
-        those of ``step``.  It allocates no array but ``_sigmoid``'s mask.
-        """
-        z = self._z
-        ifo, g, i, f, o = self._views
-        np.matmul(h, self.u4, out=z)
+    def advance(self, ux, h, c, c_out, h_out, views, matmul=np.matmul, mul=np.multiply,
+                tanh=np.tanh, logistic=en._sigmoid):
+        """One step from ``(h, c)``, with the input products u W_* in
+        ``ux``, into ``c_out`` and ``h_out`` (which may be ``c`` and ``h``)
+        through the gate views of ``buffers``: z = (h U_* + u W_*) + b, the
+        bits of (u W_* + h U_*) + b, then c f + g i and tanh(c) o.  The
+        calls are bound locally and given their outputs by position, as in
+        ``model._Step.advance``; it allocates no array but ``_sigmoid``'s
+        mask."""
+        z, ifo, i, f, o, g, ig, scratch = views
+        matmul(h, self.u4, z)
         z += ux
         z += self.bias
-        en._sigmoid(ifo, ifo, self._scratch)
-        np.tanh(g, out=g)
-        c *= f
-        g *= i
-        c += g
-        np.tanh(c, out=h_out)
+        logistic(ifo, ifo, scratch)
+        tanh(g, g)
+        mul(c, f, c_out)
+        mul(g, i, ig)
+        c_out += ig
+        tanh(c_out, h_out)
         h_out *= o
 
-    def step(self, state, u, tape=None):
-        """Standard LSTM cell: sigmoid gates, tanh candidate and output.
+    def step(self, state, u, buffers, tape=None):
+        """Standard LSTM cell: sigmoid gates, tanh candidate and output,
+        into the step buffers ``buffers`` (see ``buffers``).
 
         On a tape the step records two fused ops, the new c and h.  Their
         hand-derived adjoints keep only u, h, c and the four gate
@@ -134,11 +131,12 @@ class _Cell:
         """
         h, c = state
         hv, cv = _val(h), _val(c)
-        (i, f, o), g = self.gates(u, hv)
-        c_new = f * cv + i * g
-        h_new = o * np.tanh(c_new)
+        ux, c_new, h_new, views = buffers
+        np.matmul(u, self.w4, ux)
+        self.advance(ux, hv, cv, c_new, h_new, views)
         if tape is None:
             return h_new, c_new
+        _, _, i, f, o, g, _, _ = views
         leaves = {gate: [tape.param(name, self.store[name]) for name in names]
                   for gate, names in zip(GATES, self.leaf_names)}
         ui, uf, uo, ug = self.us
@@ -184,15 +182,20 @@ def forward(batch, store, *, tape=None, final_only=False):
     feats = batch.features_with_dt()
     b, s = batch.size, batch.steps
     hidden = hidden_dim_of(store)
-    fwd = _Cell(store, "fwd", b).step  # binds its weights once for the window
+
+    def cell(prefix):
+        kernel = _Cell(store, prefix)  # binds its weights and the pass's buffers once
+        buffers = kernel.buffers(b, s, tape is not None)
+        return lambda state, i: kernel.step(state, feats[:, i, :], buffers(i), tape)
+
+    fwd = cell("fwd")
     if not is_bidirectional(store):
-        return unroll(batch, store, _zero_state(b, hidden, tape),
-                      lambda state, i: fwd(state, feats[:, i, :], tape), tape,
+        return unroll(batch, store, _zero_state(b, hidden, tape), fwd, tape,
                       hidden=lambda state: state[0], final_only=final_only)
-    bwd = _Cell(store, "bwd", b).step
+    bwd = cell("bwd")
 
     def step(states, i):
-        return fwd(states[0], feats[:, i, :], tape), bwd(states[1], feats[:, s - 1 - i, :], tape)
+        return fwd(states[0], i), bwd(states[1], s - 1 - i)
 
     return unroll(batch, store, (_zero_state(b, hidden, tape), _zero_state(b, hidden, tape)),
                   step, tape, hidden=lambda states: en.concat(states[0][0], states[1][0]),
@@ -208,16 +211,19 @@ def backward_bptt(batch, store):
 class OnlineLstm(OnlineSession):
     """Streamed unidirectional inference, equal to the batched prefix.
 
-    A session binds its own single-row cell once and keeps its state
-    ``(h, c)`` in two [1 x H] buffers that each event overwrites and
-    ``reset`` zeroes, so sessions on one store may run in parallel threads.
+    A session binds the one-row set of ``_Cell.buffers`` once: its state
+    ``(h, c)``, which each event overwrites and ``reset`` zeroes, and the
+    gate views that ``observe`` and the replay's steps fill.  So sessions
+    on one store may run in parallel threads, but one session must not be
+    shared between them.
     """
 
     def __init__(self, store, stats, sensor_dims):
         if is_bidirectional(store):
             raise ValueError("a bidirectional model cannot run online")
-        self._cell = _Cell(store, "fwd", 1)
-        self.state = _zero_state(1, hidden_dim_of(store), None)
+        self._cell = _Cell(store, "fwd")
+        self._ux, c, h, self._views = self._cell.buffers(1, 1, traced=False)(0)
+        self.state = h, c
         super().__init__(store, stats, sensor_dims)
 
     def reset(self):
@@ -227,29 +233,28 @@ class OnlineLstm(OnlineSession):
 
     def observe(self, event):
         dtau = self._gap(event)
-        cell, (h, c) = self._cell, self.state
-        np.matmul(np.array([(*self._input(event)[0], dtau)]), cell.w4, out=cell.ux)
-        cell.advance(cell.ux, h, c, h)
+        cell, ux, (h, c) = self._cell, self._ux, self.state
+        np.matmul(np.array([(*self._input(event)[0], dtau)]), cell.w4, ux)
+        cell.advance(ux, h, c, c, h, self._views)
         return self._predict(h)
 
     def _recursion(self, seq, states):
         """``_Cell.advance`` per event on a copy of the session's cell
         state, after one broadcast product for the input products of a
         chunk, so the replay equals ``observe`` bit for bit (see ``_Cell``)."""
-        cell = self._cell
+        cell, advance, views = self._cell, self._cell.advance, self._views
         states[0] = self.state[0]
         c = self.state[1].copy()
         rows = list(states)
         feats = np.zeros((len(states) - 1, INPUT_DIM))
-        proj = np.empty((len(feats), *cell.ux.shape))
-        advance = cell.advance
+        proj = np.empty((len(feats), *self._ux.shape))
 
         def fill(lo, hi, gaps):
             n = hi - lo
             feats[:n, :3] = normalize_sequence(seq, lo, hi)
             feats[int(lo == 0):n, 3] = gaps  # the recording's first event keeps a zero gap
-            np.matmul(feats[:n, None, None, :], cell.w4, out=proj[:n])
+            np.matmul(feats[:n, None, None, :], cell.w4, proj[:n])
             for ux, h, h_out in zip(proj[:n], rows, rows[1:]):
-                advance(ux, h, c, h_out)
+                advance(ux, h, c, c, h_out, views)
 
         return fill

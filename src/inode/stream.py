@@ -30,10 +30,11 @@ from .checkpoint import model_kind
 from .errors import FormatError
 from .events import Event, read_manifest
 
-# a field of an event line; a sign or digit that int() would also take
-# ("+3", "1_0", non-ASCII digits) is a parse error, a leading "-" a range
-# one, "-0" included
-_INTEGER = re.compile(r"-?[0-9]+")
+# an event line, stripped: "E" and four integer fields, split by the
+# whitespace that str.split splits on (``\s`` matches the same code points);
+# a sign or digit that int() would also take ("+3", "1_0", non-ASCII digits)
+# is a parse error, a leading "-" a range one, "-0" included
+_EVENT = re.compile(r"E\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)")
 # one past the largest timestamp an AER codec decodes
 _T_LIMIT = 1 << 63
 # the most bytes of one line, its newline included, that the line loop
@@ -61,16 +62,16 @@ class LineSession:
 
     def handle(self, line):
         """One inbound line -> outbound line, or None for control lines."""
-        fields = line.strip().split()
-        if not fields:
+        line = line.strip()
+        event = _EVENT.fullmatch(line)
+        if event is None:
+            if line == "R":
+                self.classifier.reset()
+            elif line:
+                return "ERR parse"
             return None
-        if fields[0] == "R" and len(fields) == 1:
-            self.classifier.reset()
-            return None
-        if fields[0] != "E" or len(fields) != 5 or not all(map(_INTEGER.fullmatch, fields[1:])):
-            return "ERR parse"
         try:
-            x, y, p, t = (int(v) for v in fields[1:])
+            x, y, p, t = map(int, event.groups())
         except ValueError:  # more digits than int() converts
             return "ERR parse"
         # each field is digits after an optional "-", so a "-" is a leading one

@@ -1,6 +1,7 @@
 """Shared oracles for the test suite."""
 
 import io
+import tracemalloc
 
 import numpy as np
 
@@ -175,6 +176,18 @@ def ops_gradients(forward, batch, store):
     """``(grads, loss)`` of a reference forward pass, as ``backward_bptt`` gives them."""
     tape = en.Tape()
     return model.gradients(tape, forward(batch, store, tape))
+
+
+def large_blocks(forward):
+    """The number of blocks of 64 KB or more that ``forward()`` allocates
+    and leaves alive."""
+    tracemalloc.start()
+    try:
+        kept = forward()  # noqa: F841  its tape holds the blocks
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    return sum(trace.size >= 64 * 2 ** 10 for trace in snapshot.traces)
 
 
 def sigmoid_masked(x):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (central_difference, lstm_ops, lstm_ops_forward, max_rel_err,
-                     observed_rows, ops_gradients, read_out)
+from helpers import (central_difference, large_blocks, lstm_ops, lstm_ops_forward,
+                     max_rel_err, observed_rows, ops_gradients, read_out)
 from inode import engine as en
 from inode import lstm, model
 from inode.preprocess import Batch, TimeStats, make_batch
@@ -26,12 +26,20 @@ def _batch(seed=0, b=2, s=5, n_classes=3):
     )
 
 
+def _cell_step(store, rows):
+    """The untraced step of the forward cell, on buffers of its own: each
+    call overwrites the state that the previous one returned."""
+    cell = lstm._Cell(store, "fwd")
+    buffers = cell.buffers(rows, 1, traced=False)(0)
+    return lambda state, u: cell.step(state, u, buffers)
+
+
 def test_zero_weights_give_zero_hidden_state():
     store = _store()
     for name in store.names():
         store[name][:] = 0.0
     state = (np.zeros((2, 5)), np.zeros((2, 5)))
-    h, c = lstm._Cell(store, "fwd", 2).step(state, np.ones((2, 4)))
+    h, c = _cell_step(store, 2)(state, np.ones((2, 4)))
     assert np.array_equal(h, np.zeros((2, 5)))
     assert np.array_equal(c, np.zeros((2, 5)))
 
@@ -43,7 +51,7 @@ def test_saturated_forget_gate_preserves_cell():
             store[name][:] = 0.0
     store["fwd_bf"][:] = 10.0
     c0 = np.random.default_rng(2).uniform(-1, 1, (3, 5))
-    _, c1 = lstm._Cell(store, "fwd", 3).step((np.zeros((3, 5)), c0), np.ones((3, 4)))
+    _, c1 = _cell_step(store, 3)((np.zeros((3, 5)), c0), np.ones((3, 4)))
     assert np.abs(c1 - c0).max() < 1e-4
 
 
@@ -68,7 +76,7 @@ def test_single_step_window_equals_one_cell_application():
     batch = _batch(seed=8, s=1)
     res = lstm.forward(batch, store)
     feats = batch.features_with_dt()
-    h, _ = lstm._Cell(store, "fwd", 2).step((np.zeros((2, 5)), np.zeros((2, 5))), feats[:, 0, :])
+    h, _ = _cell_step(store, 2)((np.zeros((2, 5)), np.zeros((2, 5))), feats[:, 0, :])
     z = read_out(h, store)
     assert np.array_equal(res.logits[:, 0, :], z)
 
@@ -79,10 +87,10 @@ def test_bidirectional_palindrome_symmetry():
     full = np.tile(np.array([0.3, -0.2, 1.0, 0.5]), (2, 6, 1))
     fwd = (np.zeros((2, 5)), np.zeros((2, 5)))
     bwd = (np.zeros((2, 5)), np.zeros((2, 5)))
-    cell = lstm._Cell(store, "fwd", 2).step
+    fwd_cell, bwd_cell = _cell_step(store, 2), _cell_step(store, 2)
     for i in range(6):
-        fwd = cell(fwd, full[:, i, :])
-        bwd = cell(bwd, full[:, 5 - i, :])
+        fwd = fwd_cell(fwd, full[:, i, :])
+        bwd = bwd_cell(bwd, full[:, 5 - i, :])
     assert np.abs(fwd[0] - bwd[0]).max() < 1e-12
 
 
@@ -95,7 +103,7 @@ def test_recurrent_core_parameter_count():
 
 @pytest.mark.parametrize("hidden", [5, 6, 7, 72])
 def test_online_equals_batched_prefix_bitwise(hidden):
-    """``observe`` runs ``_Cell.advance``, a one-row window ``_Cell.gates``."""
+    """``observe`` and a one-row window's steps both run ``_Cell.advance``."""
     stats = TimeStats(dq=100.0)
     store = _store(seed=11, n_classes=2, hidden=hidden)
     seq = moving_dot(1, seed=12, n_events=120, noise_rate=0.1)
@@ -140,12 +148,14 @@ def _bits_equal(a, b):
 
 @pytest.mark.parametrize("hidden", [5, 6, 7, 30, 72])
 def test_broadcast_matmul_rows_equal_single_row_dot_bitwise(hidden):
-    """The replays rest on this property of numpy's matmul over its BLAS:
-    a broadcast product over a stack runs one single-row product per item,
-    with the bits of that row's own ``np.dot``."""
+    """The cell and the replays rest on this property of numpy's matmul
+    over its BLAS: a broadcast product over a stack runs one product per
+    item, with the bits of that item's own product, a single row's those
+    of its own ``np.dot``."""
     rng = np.random.default_rng(hidden)
     w4 = rng.uniform(-1, 1, (4, lstm.INPUT_DIM, hidden))  # the input gate stack
     u4 = rng.uniform(-1, 1, (4, hidden, hidden))           # the recurrent gate stack
+    ws, us = [w.copy() for w in w4], [u.copy() for u in u4]  # the store's own arrays
     for m in (1, 7, 255, 256):  # the input block of a replay, or observe's one event
         feats = rng.uniform(-1, 1, (m, lstm.INPUT_DIM))
         proj = np.empty((m, 4, 1, hidden))
@@ -153,11 +163,17 @@ def test_broadcast_matmul_rows_equal_single_row_dot_bitwise(hidden):
         for r in range(m):
             for k in range(4):
                 assert _bits_equal(proj[r, k], np.dot(feats[r:r + 1], w4[k]))
-    h = rng.uniform(-1, 1, (1, hidden))
-    z = np.empty((4, 1, hidden))
-    np.matmul(h, u4, out=z)
-    for k in range(4):
-        assert _bits_equal(z[k], np.dot(h, u4[k]))
+    for b in (1, 2, 7, 100):  # a session's or a window's step, on a step's strided inputs
+        h = rng.uniform(-1, 1, (b, hidden))
+        u = rng.uniform(-1, 1, (b, 5, lstm.INPUT_DIM))[:, 3, :]
+        z, ux = np.empty((4, b, hidden)), np.empty((4, b, hidden))
+        np.matmul(h, u4, out=z)
+        np.matmul(u, w4, out=ux)
+        for k in range(4):
+            assert _bits_equal(z[k], h @ us[k])
+            assert _bits_equal(ux[k], u @ ws[k])
+            if b == 1:
+                assert _bits_equal(z[k], np.dot(h, us[k]))
     for n_classes in (2, 4, 10):  # the read-out of a block or chunk of states
         wc = rng.uniform(-1, 1, (hidden, n_classes))
         for m in (1, 7, 256, 4096):
@@ -262,7 +278,7 @@ def test_fused_cell_with_biases_equals_generic_ops_bitwise(hidden, bidirectional
     # a single row, as a one-row window runs it
     row = batch.features_with_dt()[:1]
     fused = generic = (np.zeros((1, hidden)), np.zeros((1, hidden)))
-    cell = lstm._Cell(store, "fwd", 1).step
+    cell = _cell_step(store, 1)
     for i in range(row.shape[1]):
         fused = cell(fused, row[:, i, :])
         generic = lstm_ops(generic, row[:, i, :], store)
@@ -278,6 +294,20 @@ def test_paper_batch_records_two_nodes_per_cell_step():
     tape = en.Tape()
     lstm.forward(_paper_batch(seed=23), store, tape=tape)
     assert len(tape.nodes) == 3 * 100 + 2 + 14 + 1
+
+
+def test_traced_window_keeps_a_number_of_large_blocks_that_does_not_grow_with_s():
+    """A traced pass allocates its steps' gates and states once, as
+    [S x 4 x B x H] and [S x B x H] blocks whose rows the tape keeps, so
+    the blocks of 64 KB or more that it leaves are as many at S = 100 as at
+    S = 50 (at B = 200, H = 72 every per-step array is over 64 KB)."""
+    store = _store(seed=29, n_classes=4, hidden=72)
+
+    def blocks(s):
+        batch = _paper_batch(seed=30, b=200, s=s, n_classes=4)
+        return large_blocks(lambda: (tape := en.Tape(), lstm.forward(batch, store, tape=tape)))
+
+    assert 0 < blocks(100) <= blocks(50)
 
 
 def test_paper_batch_bptt_peak_memory():

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (central_difference, inode_ops_forward, max_rel_err, observed_rows,
-                     ops_gradients, read_out)
+from helpers import (central_difference, inode_ops_forward, large_blocks, max_rel_err,
+                     observed_rows, ops_gradients, read_out)
 from inode import engine as en
 from inode import model
 from inode.preprocess import Batch, TimeStats, make_batch, normalize_dt, normalize_sequence
@@ -215,18 +215,6 @@ def test_paper_batch_records_one_node_per_euler_step():
     assert len(tape.nodes) == 2 * 100 + 1 + 10 + 1
 
 
-def _large_blocks(forward):
-    """The number of blocks of 64 KB or more that ``forward()`` allocates
-    and leaves alive."""
-    tracemalloc.start()
-    try:
-        kept = forward()  # noqa: F841  its tape holds the blocks
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    return sum(trace.size >= 64 * 2 ** 10 for trace in snapshot.traces)
-
-
 @pytest.mark.parametrize("table", [True, False], ids=["table", "per_step"])
 def test_traced_window_keeps_a_number_of_large_blocks_that_does_not_grow_with_s(table):
     """A traced pass allocates its steps' arrays once, as [S x B x ...]
@@ -239,7 +227,7 @@ def test_traced_window_keeps_a_number_of_large_blocks_that_does_not_grow_with_s(
         batch = (_dot_batch(200, s, seed=120) if table
                  else _paper_batch(seed=120, b=200, s=s, n_classes=4))
         assert (model._Step(store).tabulate(batch.inputs, traced=False) is None) != table
-        return _large_blocks(lambda: (tape := en.Tape(), model.forward(batch, store, tape=tape)))
+        return large_blocks(lambda: (tape := en.Tape(), model.forward(batch, store, tape=tape)))
 
     assert 0 < blocks(100) <= blocks(50)
 

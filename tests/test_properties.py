@@ -1,7 +1,9 @@
 """Properties of the entry points that read outside input, over drawn inputs.
 
 The line protocol answers any text with a prediction, ``ERR parse``,
-``ERR range`` or nothing, and an ``ERR`` leaves the session as it was.
+``ERR range`` or nothing, and an ``ERR`` leaves the session as it was;
+its one-pattern parser answers every line as the parser that split the
+line into fields did, which stays here as the reference.
 The AER codecs round-trip every sequence they can encode, the 5-byte one
 across its 2^23 us timestamp wrap.  ``derandomize`` keeps the examples
 the same on every run.
@@ -12,11 +14,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from inode import lstm, model, stream
 from inode.checkpoint import Checkpoint
-from inode.events import (EventSequence, T_DROP, T_WRAP, parse_aer, parse_aer16, write_aer,
+from inode.events import (Event, EventSequence, T_DROP, T_WRAP, parse_aer, parse_aer16, write_aer,
                           write_aer16)
 from inode.preprocess import TimeStats
 
@@ -120,3 +122,70 @@ def test_aer16_round_trips_any_sequence(records):
     back = parse_aer16(blob, sensor_dims=(1 << 16, 1 << 16))
     _assert_same_events(back, seq)
     assert write_aer16(back) == blob
+
+
+# the code points that str.split and str.strip take for whitespace
+WHITESPACE = [c for c in map(chr, range(0x110000)) if c.isspace()]
+_FIELD = re.compile(r"-?[0-9]+")
+
+
+def reference_handle(session, line):
+    """``LineSession.handle`` as it parsed a line before its one pattern:
+    ``str.split``, one pattern per field, and a ``"-"`` test."""
+    fields = line.strip().split()
+    if not fields:
+        return None
+    if fields[0] == "R" and len(fields) == 1:
+        session.classifier.reset()
+        return None
+    if fields[0] != "E" or len(fields) != 5 or not all(map(_FIELD.fullmatch, fields[1:])):
+        return "ERR parse"
+    try:
+        x, y, p, t = (int(v) for v in fields[1:])
+    except ValueError:  # more digits than int() converts
+        return "ERR parse"
+    if "-" in line or p not in (0, 1) or t >= stream._T_LIMIT:
+        return "ERR range"
+    pred, posterior = session.classifier.observe(Event(x, y, p, t))
+    return stream.format_prediction(t, pred, posterior)
+
+
+def test_the_event_pattern_splits_where_str_split_does():
+    every = list(map(chr, range(0x110000)))
+    splits = [c for c in every if len(f"E{c}1".split()) == 2]
+    matches = [c for c in every if stream._EVENT.fullmatch(f"E{c}1 2 3 4")]
+    assert splits == matches == WHITESPACE
+    assert len(WHITESPACE) == 29
+
+
+SPACES = st.text(st.sampled_from(WHITESPACE), max_size=2)
+# fields past int()'s 4,300 digits, which are parse errors however they read
+LONG = st.sampled_from(["1" * 4301, "-" + "0" * 4301, "9" * 4300, "-" + "7" * 4300])
+
+
+@st.composite
+def spaced_lines(draw):
+    """A head and fields apart by runs of any whitespace, padded with it."""
+    field = st.one_of(FIELD, FIELD, LONG)
+    words = [draw(st.sampled_from(["E", "E", "E", "R", "e", "ER", "E\x00", "-", ""])),
+             *draw(st.one_of(st.lists(field, min_size=4, max_size=4),
+                             st.lists(st.one_of(field, st.just("R")), max_size=6)))]
+    gaps = draw(st.lists(SPACES.filter(bool), min_size=len(words) - 1,
+                         max_size=len(words) - 1))
+    body = words[0] + "".join(gap + word for gap, word in zip(gaps, words[1:]))
+    return draw(SPACES) + body + draw(SPACES)
+
+
+@pytest.mark.parametrize("kind", sorted(CKPTS))
+@EXAMPLES
+@given(lines=st.lists(st.one_of(spaced_lines(), spaced_lines(), LINE), max_size=12))
+@example(lines=["R R", "\u2003R\u3000", "R 1", "E 1 2 1 5\x1c", "E\x851 2 1 6", "E 1 2 1 -0",
+                "E 1 2 1 " + "0" * 4301, "E 1 2 2 7", "E 1 2 1 %d" % 2 ** 63])
+def test_line_session_answers_every_text_as_the_split_parser(kind, lines):
+    session = stream.LineSession(stream.make_session(CKPTS[kind]))
+    reference = stream.LineSession(stream.make_session(CKPTS[kind]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clamped coordinates and regressions
+        for line in ["E 3 4 1 1000", *lines]:
+            assert session.handle(line) == reference_handle(reference, line), line
+            assert _snapshot(session.classifier, kind) == _snapshot(reference.classifier, kind)
