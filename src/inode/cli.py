@@ -94,9 +94,11 @@ def _add_data_flags(p):
 
 
 def _datasets(args, seed, split_seed):
-    """(train, test) sets.  ``seed`` draws synthetic ones; ``split_seed``
-    splits a --data root without train/ and test/ directories, and None
-    there is an error."""
+    """(train, test, class names) of the data flags.  ``seed`` draws
+    synthetic sets, which have no names (None); ``split_seed`` splits a
+    --data root without train/ and test/ directories, and None there is an
+    error.  A root's names are its sorted class directories: class i is
+    the i-th."""
     if args.synthetic is not None:
         n = args.synthetic
         train_set = moving_dot_dataset(n, args.train_count // n, seed=seed,
@@ -105,7 +107,7 @@ def _datasets(args, seed, split_seed):
         test_set = moving_dot_dataset(n, args.test_count // n, seed=seed + 7_000_003,
                                       n_events=args.synth_events, noise_rate=args.synth_noise,
                                       split="test")
-        return train_set, test_set
+        return train_set, test_set, None
     root = Path(args.data)
     if (root / "train").is_dir() and (root / "test").is_dir():
         train_names, test_names = (set(class_names(root / split)) for split in ("train", "test"))
@@ -114,12 +116,13 @@ def _datasets(args, seed, split_seed):
                                f"only in train/ {sorted(train_names - test_names)}, "
                                f"only in test/ {sorted(test_names - train_names)}")
         return (load_dataset(root / "train", truncate_to=args.truncate, split="train"),
-                load_dataset(root / "test", truncate_to=args.truncate, split="test"))
+                load_dataset(root / "test", truncate_to=args.truncate, split="test"),
+                sorted(train_names))
     full = load_dataset(root, truncate_to=args.truncate)
     if split_seed is None:
         raise DatasetError(f"{root} has no train/ and test/ directories, and the checkpoint "
                            "records no training seed to split it as training did")
-    return split_dataset(full, 0.9, split_seed)
+    return (*split_dataset(full, 0.9, split_seed), class_names(root))
 
 
 def build_parser():
@@ -165,12 +168,13 @@ def build_parser():
 
 
 def cmd_train(args):
-    train_set, test_set = _datasets(args, args.seed, args.seed)
+    train_set, test_set, names = _datasets(args, args.seed, args.seed)
     hidden = args.hidden if args.hidden is not None else MODEL_KINDS[args.model].hidden
     config = RunConfig(
         model=args.model, hidden=hidden, n_classes=train_set.class_count,
         s_len=args.s_len, epochs=args.epochs, lr=args.lr, batch_size=args.batch,
         rho=args.rho, seed=args.seed, grad_clip=args.grad_clip,
+        class_names=None if names is None else tuple(names),
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -179,7 +183,7 @@ def cmd_train(args):
         top = rec.accuracies[max(rec.accuracies)]
         print(f"epoch {rec.epoch:4d}  train_loss {rec.train_loss:.4f}  "
               f"test_loss {rec.test_loss:.4f}  acc@{max(rec.accuracies)} {top:.3f}  "
-              f"eval {rec.eval_seconds:.2f}s", flush=True)
+              f"grad_norm {rec.grad_norm:.4g}  eval {rec.eval_seconds:.2f}s", flush=True)
 
     try:
         trainer = train(config, train_set, test_set, out_path=out,
@@ -196,9 +200,18 @@ def cmd_eval(args):
     path = Path(args.ckpt)
     ckpt = load_checkpoint(path)
     # the held-out part of a split --data root is the one training left out
-    seed = ckpt.config.get("seed") if isinstance(ckpt.config, dict) else None
+    config = ckpt.config if isinstance(ckpt.config, dict) else {}
+    seed, trained = config.get("seed"), config.get("class_names")
+    if trained is not None and not (type(trained) is list
+                                    and all(type(name) is str for name in trained)):
+        raise FormatError("the checkpoint's class names are not a list of strings")
     valid = type(seed) is int and seed >= 0
-    _, test_set = _datasets(args, args.seed, seed if valid else None)
+    _, test_set, names = _datasets(args, args.seed, seed if valid else None)
+    if names is not None and trained is not None and names != trained:
+        # the held-out set indexes its classes by its own names
+        raise DatasetError(f"the class directories of {args.data} are not the checkpoint's: "
+                           f"only in the checkpoint {sorted(set(trained) - set(names))}, "
+                           f"only in {args.data} {sorted(set(names) - set(trained))}")
     if test_set.class_count > ckpt.n_classes:  # a label the read-out has no class for
         raise DatasetError(f"the held-out set has {test_set.class_count} classes; the "
                            f"checkpoint classifies {ckpt.n_classes}")

@@ -9,7 +9,9 @@ integrated by explicit Euler steps sized by the normalized inter-event
 gaps, with a linear read-out g(h) = FCc(h) after every step.  Training
 runs the whole window on a tape and differentiates it exactly (standard
 backpropagation through time); online inference advances one event at a
-time with sample-and-hold inputs.
+time with sample-and-hold inputs.  Both run one step body,
+``_Step.advance``: on a window's [B x ...] blocks, and on 1-D rows for a
+live session and its replay.
 
 The input's share of FC2, ``P(u) = tanh(FCu u) W2_bot + b2``, depends on
 the input row alone, and an event window repeats few rows: a 100 x 100
@@ -81,25 +83,21 @@ class _Step:
     own: a window's steps read the one ``tabulate`` builds, and a live
     session keeps one of pixel-polarity pairs (``OnlineClassifier``).
 
-    A batch step (``step``) writes its activations and its new state into
-    buffers that its pass allocates once (``buffers``): a traced pass
-    hands each step its own rows of per-window blocks, which the tape
-    keeps for the adjoint; an untraced pass hands every step one set.  A
-    live session and the replay run the same step on 1-D rows, one event
-    at a time (``advance``), in three buffers of the step's own: such a
-    step must not be shared between threads.
+    Every step, a window's (``step``), a live session's and the replay's,
+    runs one body, ``advance``, into arrays that its caller allocates
+    once: a window pass gets them from ``buffers``, a session binds its
+    own 1-D rows.  The step itself holds only its weights and a pass's
+    table.
     """
 
     def __init__(self, store):
         self.store = store
-        self.w1, self.b1 = store["fc1_w"], store["fc1_b"]
+        self.w1, self.b1 = store["fc1_w"], store["fc1_b"][0]
         self.wu, self.bu = store["fcu_w"], store["fcu_b"]
         self.w2, self.b2 = store["fc2_w"], store["fc2_b"]
         self.w2_top, self.w2_bot = np.split(self.w2, 2)
-        self.w3, self.b3 = store["fc3_w"], store["fc3_b"]
+        self.w3, self.b3 = store["fc3_w"], store["fc3_b"][0]
         self._table = None
-        self._rows = (self.w1, self.b1[0], self.w2_top, self.w3, self.b3[0], np.empty(len(self.w3)),
-                      np.empty(len(self.w3)), np.empty(self.w3.shape[1]))
 
     def project(self, u, tanh_u, out):
         """``P(u)`` into ``out``, ``tanh(FCu u)`` into ``tanh_u``."""
@@ -130,7 +128,7 @@ class _Step:
 
     def tabulate(self, inputs, traced):
         """Project the distinct rows of a [B x S x 3] window once, into the
-        table that ``layers`` reads for ``rows``.  Returns the [S x B] table
+        table that ``step`` reads for ``rows``.  Returns the [S x B] table
         row of each step's inputs, or None when the window has more than
         ``_TABLE_ROWS`` distinct rows, counted before anything is projected:
         its steps then project their own.  Rows are told apart by their
@@ -157,66 +155,37 @@ class _Step:
     def buffers(self, b, s, traced):
         """The arrays that a pass of ``s`` steps over ``b`` rows writes
         into, as a function of the step number that gives the step's
-        ``(hidden, act, state, lo, top)``: the [B x 2W] tanh activations
+        ``(hidden, act, state, lo, p)``: the [B x 2W] tanh activations
         ``[tanh(FC1 h), tanh(FCu u)]`` that the adjoint reads, the [B x W]
-        second one, the [B x state] new state and two [B x W] scratch
-        buffers.  A traced pass gets [S x B x ...] blocks and step i their
-        row i, which the tape keeps; an untraced pass, which keeps no
-        ``hidden`` (None), one set for every step, with two state buffers
-        used in turn, so a step never overwrites the state it reads."""
+        second one, the [B x state] new state, and two [B x W] scratch
+        buffers, for ``tanh(FC1 h)`` (first ``tanh(FCu u)``) and ``P(u)``.
+        A traced pass gets [S x B x ...] blocks and step i their row i,
+        which the tape keeps; an untraced pass, which keeps no ``hidden``
+        (None), one set for every step, with two state buffers used in
+        turn, so a step never overwrites the state it reads."""
         width, d = self.w1.shape[1], self.w3.shape[1]
-        lo, top = np.empty((b, width)), np.empty((b, width))
+        lo, p = np.empty((b, width)), np.empty((b, width))
         if traced:
             hidden, act, states = (np.empty((s, b, n)) for n in (2 * width, width, d))
-            return lambda i: (hidden[i], act[i], states[i], lo, top)
+            return lambda i: (hidden[i], act[i], states[i], lo, p)
         act, states = np.empty((b, width)), np.empty((2, b, d))
-        return lambda i: (None, act, states[i % 2], lo, top)
+        return lambda i: (None, act, states[i % 2], lo, p)
 
-    def layers(self, h, u, rows, out):
-        """f(h, u) for rows of plain arrays, into the state buffer of the
-        step buffers ``out`` (see ``buffers``), which it returns; the
-        second tanh activation goes to its buffer, and both halves of the
-        first to ``hidden`` unless it is None.  With ``rows``, ``P(u)``
-        comes from the table of ``tabulate``, and so does ``tanh(FCu u)``
-        if the table kept it.  ``h`` must not be the state buffer.  The
-        activations are computed in the contiguous scratch and copied to
-        ``hidden``'s strided halves: a ufunc on a strided view runs one
-        inner loop per row, which cost 13 us more per tanh at B = 100,
-        W = 128 (2-core x86 host), and the bits do not depend on the
-        layout."""
-        hidden, act, dh, lo, top = out
-        if rows is None:
-            self.project(u, top, act)
-        else:
-            p, tanh_u = self._table
-            np.take(p, rows, axis=0, out=act, mode="clip")  # "clip" writes unbuffered
-            if tanh_u is not None:
-                np.take(tanh_u, rows, axis=0, out=top, mode="clip")
-        np.matmul(h, self.w1, out=lo)
-        lo += self.b1
-        np.tanh(lo, out=lo)
-        if hidden is not None:
-            width = self.w1.shape[1]
-            hidden[:, :width] = lo
-            hidden[:, width:] = top
-        np.matmul(lo, self.w2_top, out=top)
-        act += top
-        np.tanh(act, out=act)
-        np.matmul(act, self.w3, out=dh)
-        dh += self.b3
-        return dh
-
-    def advance(self, h, ps, gaps, outs, dot=np.dot, add=np.add, mul=np.multiply,
+    def advance(self, h, ps, gaps, outs, scratch, dot=np.dot, add=np.add, mul=np.multiply,
                 tanh=np.tanh):
-        """Euler steps on 1-D rows, a live session's and the replay's: from
-        the state row ``h``, each row of ``outs`` in turn gets the state one
-        step on, with the next ``P(u)`` row of ``ps`` and gap of ``gaps``.
-        The products and sums are ``step``'s, in its order; a 1-D
-        ``np.dot`` has the bits of the [1 x n] product.  An ``outs`` row may
-        be ``h`` itself.  The calls are bound locally and given their
-        outputs by position, which costs less per call than a global and a
-        keyword."""
-        w1, b1, w2_top, w3, b3, s_buf, t_buf, d_buf = self._rows
+        """Euler steps h + f(h, u) dtau from the state ``h``: each of
+        ``outs`` in turn gets the state one step on, with the next ``P(u)``
+        of ``ps`` and gap of ``gaps``, through the ``scratch`` arrays ``(s,
+        t, d)``, which end with ``tanh(FC1 h)``, the second tanh activation
+        and ``f(h, u) dtau`` of the last step.  The arrays are the [B x
+        ...] ones of a window step (``buffers``) or the 1-D rows of a live
+        session and the replay, whose ``np.dot`` has the bits of the [1 x
+        n] product; the biases broadcast over either.  An ``outs`` item may
+        be ``h`` itself, and ``d`` may be the ``outs`` item when ``h`` is
+        not.  The calls are bound locally and given their outputs by
+        position, which costs less per call than a global and a keyword."""
+        w1, b1, w2_top, w3, b3 = self.w1, self.b1, self.w2_top, self.w3, self.b3
+        s_buf, t_buf, d_buf = scratch
         for out, p, gap in zip(outs, ps, gaps):
             dot(h, w1, s_buf)
             add(s_buf, b1, s_buf)
@@ -232,16 +201,31 @@ class _Step:
     def step(self, h, u, dtau, out, tape=None, rows=None):
         """``euler_step`` with this step's weights, into the step buffers
         ``out`` (see ``buffers``): returns their state buffer, or on a tape
-        its node.  ``rows`` are the table rows of ``u``, see ``layers``."""
+        its node.  With ``rows``, the table rows of ``u``, ``P(u)`` comes
+        from the table of ``tabulate``, and so does ``tanh(FCu u)`` if the
+        table kept it.  ``advance`` works in the contiguous scratch, and a
+        traced step copies the halves of the first tanh activation to
+        ``hidden``'s strided halves, ``tanh(FCu u)`` before it and
+        ``tanh(FC1 h)`` after: a ufunc on a strided view runs one inner
+        loop per row, which cost 13 us more per tanh at B = 100, W = 128
+        (2-core x86 host), and the bits do not depend on the layout."""
+        hidden, act, state, lo, p = out
         hv = _val(h)
-        state = self.layers(hv, u, rows, out)
-        state *= dtau
-        state += hv
+        if rows is None:
+            self.project(u, lo, p)
+        else:
+            p_table, tanh_u = self._table
+            np.take(p_table, rows, axis=0, out=p, mode="clip")  # "clip" writes unbuffered
+            if tanh_u is not None:
+                np.take(tanh_u, rows, axis=0, out=lo, mode="clip")
+        width = self.w1.shape[1]
+        if hidden is not None:
+            hidden[:, width:] = lo
+        self.advance(hv, (p,), (dtau,), (state,), (lo, act, state))
         if tape is None:
             return state
-        hidden, act = out[:2]
+        hidden[:, :width] = lo
         w1, w2, w3 = self.w1, self.w2, self.w3
-        width = w1.shape[1]
 
         # the generic ops' adjoints, product for product and in their order,
         # so the gradients equal those of the unfused tape bit for bit; FC2's
@@ -260,9 +244,9 @@ class _Step:
                     hidden.T @ gz2, gz2.sum(axis=0, keepdims=True),
                     act.T @ gd, gd.sum(axis=0, keepdims=True))
 
-        p = _binder(self.store, tape)
-        parents = (h, p("fc1_w"), p("fc1_b"), p("fcu_w"), p("fcu_b"),
-                   p("fc2_w"), p("fc2_b"), p("fc3_w"), p("fc3_b"))
+        param = _binder(self.store, tape)
+        parents = (h, param("fc1_w"), param("fc1_b"), param("fcu_w"), param("fcu_b"),
+                   param("fc2_w"), param("fc2_b"), param("fc3_w"), param("fc3_b"))
         return tape.record(state, parents, grad_fn)
 
 
@@ -273,9 +257,13 @@ def _tanh_slope(t):
 
 
 def f_eval(h, u, store):
-    """State derivative f(h, u) for a batch of rows of plain arrays."""
+    """State derivative f(h, u) for a batch of rows of plain arrays: the
+    ``f(h, u) dtau`` of one step body at ``dtau = 1``."""
     kernel = _Step(store)
-    return kernel.layers(h, u, None, kernel.buffers(len(h), 1, traced=True)(0))
+    _, act, f, lo, p = kernel.buffers(len(h), 1, traced=False)(0)
+    kernel.project(u, lo, p)
+    kernel.advance(h, (p,), (1.0,), (np.empty_like(f),), (lo, act, f))  # f * 1.0 is f
+    return f
 
 
 def euler_step(h, u, dtau, store, tape=None, dynamics=None):
@@ -549,14 +537,17 @@ class OnlineClassifier(OnlineSession):
     that each row holds, -1 when none.  A pair is projected when its row
     holds another, by one single-row product whichever of the two sees it
     (so each row has the bits of the product it replaces), and memory stays
-    at most 4 MB.  A session binds its own step once, so sessions on one
-    store may run in parallel threads.
+    at most 4 MB.  A session binds its own step and the three 1-D scratch
+    rows of its steps once, so sessions on one store may run in parallel
+    threads, but one session must not be shared between them.
     """
 
     def __init__(self, store, stats, sensor_dims):
         self._step = _Step(store)
+        width, d = self._step.w3.shape
+        self._scratch = np.empty(width), np.empty(width), np.empty(d)
         rows = min(2 * sensor_dims[0] * sensor_dims[1], _TABLE_ROWS)
-        self._table = np.empty((rows, self._step.w1.shape[1]))
+        self._table = np.empty((rows, width))
         self._keys = np.full(rows, -1)
         super().__init__(store, stats, sensor_dims)
 
@@ -569,7 +560,8 @@ class OnlineClassifier(OnlineSession):
         """Consume one event; returns (predicted class, posterior row)."""
         dtau = self._gap(event)
         if self._held_p is not None:
-            self._step.advance(self.state[0], (self._held_p,), (dtau,), self.state)
+            self._step.advance(self.state[0], (self._held_p,), (dtau,), self.state,
+                               self._scratch)
         u, key = self._input(event)
         table, row = self._table, key % len(self._keys)
         if self._keys[row] != key:
@@ -614,6 +606,6 @@ class OnlineClassifier(OnlineSession):
             # event i advances across the gap since event i-1 with the
             # input held from it, so the projections start one event early
             step.advance(states[0, 0], projections(lo - 1 + lead, hi - 1), gaps.tolist(),
-                         states[1 + lead:hi - lo + 1, 0])
+                         states[1 + lead:hi - lo + 1, 0], self._scratch)
 
         return fill

@@ -42,12 +42,18 @@ def adam_step(store, grads, state):
     return store
 
 
-def clip_global_norm(grads, max_norm):
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+def global_norm(grads):
+    """The global L2 norm of all gradients."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.square(g)))
-    norm = np.sqrt(total)
+    return float(np.sqrt(total))
+
+
+def clip_global_norm(grads, max_norm):
+    """Scale all gradients in place so their global L2 norm is <= max_norm;
+    returns the norm before clipping."""
+    norm = global_norm(grads)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         for g in grads.values():

@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import model_kind, save_checkpoint
 from .errors import NaNLossError
 from .events import subset_fraction
-from .optim import AdamState, adam_step, clip_global_norm
+from .optim import AdamState, adam_step, clip_global_norm, global_norm
 from .params import init_store
 from .preprocess import compute_dq, make_batch
 
@@ -41,10 +41,17 @@ class RunConfig:
     eval_lengths: tuple = DEFAULT_EVAL_LENGTHS
     grad_clip: float | None = None
     learnable_h0: bool = False
+    class_names: tuple | None = None  # a --data root's sorted class directories
 
     def to_json(self):
+        """The config as a dict; ``class_names`` only when the run has them,
+        so a synthetic run's JSON stays as it was before they existed."""
         d = asdict(self)
         d["eval_lengths"] = list(self.eval_lengths)
+        if self.class_names is None:
+            del d["class_names"]
+        else:
+            d["class_names"] = list(self.class_names)
         return d
 
 
@@ -54,6 +61,7 @@ class MetricsRecord:
     train_loss: float
     test_loss: float
     accuracies: dict          # eval length -> accuracy in [0, 1]
+    grad_norm: float = 0.0    # the largest global gradient norm of a batch, before clipping
     wall_seconds: float = 0.0
     eval_seconds: float = 0.0  # of wall_seconds, in the test loss and the budget sweep
 
@@ -112,15 +120,16 @@ class Trainer:
         self._epoch += 1
         rng = np.random.default_rng([cfg.seed, 0x5E9, self._epoch])
         order = rng.permutation(len(self.train_set))
-        losses = []
+        losses, grad_norm = [], 0.0
         for b in range(self.steps_per_epoch()):
             ids = order[b * self.batch_size:(b + 1) * self.batch_size]
             batch = make_batch([self.train_set[i] for i in ids], cfg.s_len, self.stats, rng)
             grads, loss = self.kind.module.backward_bptt(batch, self.store)
             if not np.isfinite(loss):
                 raise NaNLossError(self._epoch, b)
-            if cfg.grad_clip is not None:
-                clip_global_norm(grads, cfg.grad_clip)
+            norm = (global_norm(grads) if cfg.grad_clip is None
+                    else clip_global_norm(grads, cfg.grad_clip))
+            grad_norm = max(grad_norm, norm)
             adam_step(self.store, grads, self.adam)
             losses.append(loss)
         eval_started = time.perf_counter()
@@ -133,6 +142,7 @@ class Trainer:
             train_loss=float(np.mean(losses)),
             test_loss=held_out_loss,
             accuracies=accuracies,
+            grad_norm=grad_norm,
             wall_seconds=finished - started,
             eval_seconds=finished - eval_started,
         )
@@ -179,7 +189,8 @@ def metrics_csv(log):
     """CSV text: epoch, train_loss, test_loss, one acc@n column per length.
 
     Floats are written with repr so a re-parse recovers them exactly and
-    identical runs produce identical bytes (wall-clock stays out).
+    identical runs produce identical bytes (wall-clock stays out, and so
+    does the gradient norm, which the JSON carries).
     """
     if not log:
         raise ValueError("empty metrics log")
@@ -194,7 +205,8 @@ def metrics_csv(log):
 
 
 def parse_metrics_csv(text):
-    """Inverse of metrics_csv (wall_seconds and eval_seconds come back as zero)."""
+    """Inverse of metrics_csv (grad_norm, wall_seconds and eval_seconds come
+    back as zero)."""
     lines = [ln for ln in text.strip().split("\n") if ln]
     header = lines[0].split(",")
     lengths = [int(col.split("@")[1]) for col in header[3:]]
@@ -218,6 +230,7 @@ def metrics_json(log):
             "train_loss": rec.train_loss,
             "test_loss": rec.test_loss,
             "accuracies": {str(k): v for k, v in sorted(rec.accuracies.items())},
+            "grad_norm": rec.grad_norm,
             "wall_seconds": rec.wall_seconds,
             "eval_seconds": rec.eval_seconds,
         })

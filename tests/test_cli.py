@@ -383,3 +383,40 @@ def test_train_on_splits_whose_classes_differ_exits_2_before_the_first_epoch(tmp
     assert "class directories" in proc.stderr and "only in test/ ['" in proc.stderr
     assert "epoch" not in proc.stdout
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("renamed", [None, "e0"], ids=["same_names", "renamed_class"])
+def test_eval_on_a_root_whose_class_names_are_not_trainings_exits_2(tmp_path, renamed):
+    """A root indexes its classes by its own sorted names: with c0 renamed
+    e0, class 0 would be c1's recordings, scored against c0's read-out."""
+    root = _data_root(tmp_path / "data", [6, 6])
+    ckpt = tmp_path / "m.ckpt"
+    proc = run_cli("train", "--data", str(root), "--s-len", "10", "--batch", "6", "--hidden", "4",
+                   "--epochs", "1", "--out", str(ckpt))
+    assert proc.returncode == 0, proc.stderr
+    assert load_checkpoint(ckpt).config["class_names"] == ["c0", "c1"]
+    if renamed:
+        (root / "c0").rename(root / renamed)
+    json_out = tmp_path / "eval.json"
+    proc = run_cli("eval", "--ckpt", str(ckpt), "--data", str(root), "--lengths", "5",
+                   "--json-out", str(json_out))
+    if renamed:
+        _assert_clean_exit_2(proc)
+        assert "only in the checkpoint ['c0']" in proc.stderr and "['e0']" in proc.stderr
+        assert proc.stdout == "" and not json_out.exists()
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert json_out.exists()
+
+
+def test_eval_of_a_checkpoint_whose_class_names_are_not_names_exits_2(trained, tmp_path):
+    from inode.checkpoint import save_checkpoint
+    loaded = load_checkpoint(trained)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, loaded.store, loaded.stats, kind=loaded.kind,
+                    n_classes=loaded.n_classes, state_dim=loaded.state_dim,
+                    features=loaded.features, sensor_dims=loaded.sensor_dims,
+                    config={**loaded.config, "class_names": "c0c1"})
+    proc = run_cli("eval", "--ckpt", str(ckpt), "--data", str(_data_root(tmp_path / "d", [6, 6])))
+    _assert_clean_exit_2(proc)
+    assert "class names" in proc.stderr

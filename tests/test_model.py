@@ -355,9 +355,17 @@ def _window_batch(seq, start, s, stats):
     )
 
 
-def test_online_matches_offline_bitwise():
+@pytest.mark.parametrize("learnable_h0", [False, True], ids=["zero_h0", "h0"])
+@pytest.mark.parametrize("state_dim", [1, 4, 30])
+@pytest.mark.parametrize("width", [1, 6, 128, 130])
+def test_online_matches_offline_bitwise(width, state_dim, learnable_h0):
+    """A one-row window's steps and ``observe`` run one step body on
+    [1 x n] blocks and on 1-D rows: every step's read-out agrees."""
     stats = TimeStats(dq=100.0)
-    store = model.init_params(np.random.default_rng(51), n_classes=2)
+    store = model.init_params(np.random.default_rng(51), n_classes=2, state_dim=state_dim,
+                              width=width, learnable_h0=learnable_h0)
+    if learnable_h0:
+        store["h0"][:] = np.random.default_rng(50).uniform(-1, 1, (1, state_dim))
     rng = np.random.default_rng(52)
     for trial in range(5):
         seq = moving_dot(trial % 2, seed=trial, n_events=200, noise_rate=0.1)
@@ -366,10 +374,10 @@ def test_online_matches_offline_bitwise():
         batch = _window_batch(seq, start, s, stats)
         res = model.forward(batch, store)
         clf = model.OnlineClassifier(store, stats, seq.sensor_dims)
-        last = None
-        for i in range(start, start + s + 1):
+        last = clf.observe(seq.event(start))
+        for k, i in enumerate(range(start + 1, start + s + 1)):
             last = clf.observe(seq.event(i))
-        assert np.array_equal(read_out(clf.state, store)[0], res.logits[0, -1])
+            assert np.array_equal(read_out(clf.state, store)[0], res.logits[0, k])
         assert np.array_equal(last[1], en.softmax(res.logits[0, -1:], axis=1)[0])
 
 

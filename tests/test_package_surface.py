@@ -19,6 +19,10 @@ function.  A parameter is named ``module.function(parameter=)``.
 
 What only tests need is on ``KEEP``, with the reason it stays.  The files
 are parsed from their text, so nothing is written to ``bench/``.
+
+The bound step kernels, private as they are, answer to a stricter rule:
+every method of theirs must be called by that code, so a second step
+body that only tests run fails here.
 """
 
 import ast
@@ -55,6 +59,9 @@ KEEP = {
     "stream.fast_replay(chunk=)": "the tests show that the replay text does not depend "
                                   "on the chunk size",
 }
+
+# the classes whose methods are each kind's one step body and its helpers
+KERNELS = ("model._Step", "lstm._Cell")
 
 
 def _references(path):
@@ -173,3 +180,18 @@ def test_every_public_definition_has_a_caller_or_a_reason():
     unused = [name for name, member in definitions
               if name.rsplit(".", 1)[1] not in (attributes if member else names)]
     assert sorted(unused) == sorted(name for name in KEEP if not name.endswith("=)"))
+
+
+def test_every_method_of_a_step_kernel_is_called_by_the_program():
+    methods = []
+    for kernel in KERNELS:
+        module, name = kernel.split(".")
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        [cls] = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+        methods += [f"{kernel}.{member.name}" for member in cls.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("__")]
+    assert len(methods) > 5
+    called = {node.func.attr for path in _program_files()
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert [method for method in methods if method.rsplit(".", 1)[1] not in called] == []

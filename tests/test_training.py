@@ -201,3 +201,23 @@ def test_eval_seconds_reach_the_json_and_stay_out_of_the_csv():
     import json
     assert json.loads(metrics_json(trainer.log))[0]["eval_seconds"] == record.eval_seconds
     assert "eval" not in metrics_csv(trainer.log)
+
+
+@pytest.mark.parametrize("grad_clip", [None, 1e-3], ids=["unclipped", "clipped"])
+def test_grad_norm_is_the_epochs_largest_pre_clip_norm_in_the_json_only(monkeypatch, grad_clip):
+    norms, bptt = [], model.backward_bptt
+
+    def spy(batch, store):
+        grads, loss = bptt(batch, store)
+        norms.append(np.sqrt(sum(float(np.sum(np.square(g))) for g in grads.values())))
+        return grads, loss
+
+    monkeypatch.setattr(model, "backward_bptt", spy)
+    train_set, test_set = _tiny_sets()
+    trainer = Trainer(_tiny_config(grad_clip=grad_clip), train_set, test_set)
+    record = trainer.run_epoch()
+    assert len(norms) == trainer.steps_per_epoch() > 1
+    assert record.grad_norm == max(norms) > 1e-3  # so a clipped run clipped it
+    import json
+    assert json.loads(metrics_json(trainer.log))[0]["grad_norm"] == record.grad_norm
+    assert "grad" not in metrics_csv(trainer.log)
