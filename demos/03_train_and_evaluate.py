@@ -14,10 +14,8 @@ from inode.checkpoint import load_checkpoint
 from inode.synth import moving_dot_dataset
 from inode.training import RunConfig, Trainer, report
 
-train_set = moving_dot_dataset(2, per_class=200, seed=3, n_events=400, noise_rate=0.05,
-                               split="train")
-test_set = moving_dot_dataset(2, per_class=60, seed=900_001, n_events=400, noise_rate=0.05,
-                              split="test")
+train_set = moving_dot_dataset(2, per_class=200, seed=3, n_events=400, noise_rate=0.05)
+test_set = moving_dot_dataset(2, per_class=60, seed=900_001, n_events=400, noise_rate=0.05)
 print(f"{len(train_set)} training / {len(test_set)} test sequences, "
       f"{train_set.class_count} classes")
 

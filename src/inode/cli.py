@@ -93,21 +93,18 @@ def _add_data_flags(p):
                    help="fraction of spurious synthetic events (default 0.05)")
 
 
-def _datasets(args, seed, split_seed):
-    """(train, test, class names) of the data flags.  ``seed`` draws
-    synthetic sets, which have no names (None); ``split_seed`` splits a
-    --data root without train/ and test/ directories, and None there is an
-    error.  A root's names are its sorted class directories: class i is
-    the i-th."""
+def _datasets(args, seed, split_seed, train=True):
+    """(train, test, class names) of the data flags; the training set is
+    None without ``train``, unless a --data root must be split to find
+    the test set.  ``seed`` draws synthetic sets, which have no names
+    (None); ``split_seed`` splits a --data root without train/ and test/
+    directories, and None there is an error.  A root's names are its
+    sorted class directories: class i is the i-th."""
     if args.synthetic is not None:
-        n = args.synthetic
-        train_set = moving_dot_dataset(n, args.train_count // n, seed=seed,
-                                       n_events=args.synth_events, noise_rate=args.synth_noise,
-                                       split="train")
-        test_set = moving_dot_dataset(n, args.test_count // n, seed=seed + 7_000_003,
-                                      n_events=args.synth_events, noise_rate=args.synth_noise,
-                                      split="test")
-        return train_set, test_set, None
+        n, scene = args.synthetic, dict(n_events=args.synth_events, noise_rate=args.synth_noise)
+        return (moving_dot_dataset(n, args.train_count // n, seed=seed, **scene)
+                if train else None,
+                moving_dot_dataset(n, args.test_count // n, seed=seed + 7_000_003, **scene), None)
     root = Path(args.data)
     if (root / "train").is_dir() and (root / "test").is_dir():
         train_names, test_names = (set(class_names(root / split)) for split in ("train", "test"))
@@ -115,9 +112,8 @@ def _datasets(args, seed, split_seed):
             raise DatasetError(f"the class directories of {root}/train and {root}/test differ: "
                                f"only in train/ {sorted(train_names - test_names)}, "
                                f"only in test/ {sorted(test_names - train_names)}")
-        return (load_dataset(root / "train", truncate_to=args.truncate, split="train"),
-                load_dataset(root / "test", truncate_to=args.truncate, split="test"),
-                sorted(train_names))
+        return (load_dataset(root / "train", truncate_to=args.truncate) if train else None,
+                load_dataset(root / "test", truncate_to=args.truncate), sorted(train_names))
     full = load_dataset(root, truncate_to=args.truncate)
     if split_seed is None:
         raise DatasetError(f"{root} has no train/ and test/ directories, and the checkpoint "
@@ -206,7 +202,7 @@ def cmd_eval(args):
                                     and all(type(name) is str for name in trained)):
         raise FormatError("the checkpoint's class names are not a list of strings")
     valid = type(seed) is int and seed >= 0
-    _, test_set, names = _datasets(args, args.seed, seed if valid else None)
+    _, test_set, names = _datasets(args, args.seed, seed if valid else None, train=False)
     if names is not None and trained is not None and names != trained:
         # the held-out set indexes its classes by its own names
         raise DatasetError(f"the class directories of {args.data} are not the checkpoint's: "
@@ -239,7 +235,7 @@ def cmd_stream(args):
             rate = f" ({n / seconds:,.0f} events/s)" if seconds > 0 else ""
             print(f"# {n} events in {seconds:.3f}s{rate}", file=sys.stderr)
         else:
-            streaming.replay_events(seq, session, sys.stdout, pace=True)
+            streaming.paced_replay(seq, ckpt, sys.stdout)
         return 0
     if args.listen:
         host, port = args.listen

@@ -110,10 +110,9 @@ class EventSequence:
 class Dataset:
     """A list of event sequences sharing one sensor plus the class count."""
 
-    def __init__(self, sequences, class_count, split="train"):
+    def __init__(self, sequences, class_count):
         self.sequences = list(sequences)
         self.class_count = int(class_count)
-        self.split = split
         for seq in self.sequences:
             if seq.label is None or seq.label >= self.class_count:
                 raise DatasetError(f"label {seq.label} outside [0, {self.class_count})")
@@ -133,9 +132,6 @@ class Dataset:
 
     def __getitem__(self, i):
         return self.sequences[i]
-
-    def labels(self):
-        return np.array([seq.label for seq in self.sequences], dtype=np.int64)
 
 
 def _decoded(xs, ys, ps, ts, label, sensor_dims):
@@ -257,7 +253,7 @@ def read_manifest(root):
     return sensor, parse_aer16 if fmt == "aer16" else parse_aer
 
 
-def load_dataset(root, truncate_to=None, split="train"):
+def load_dataset(root, truncate_to=None):
     """Load ``root/<class_name>/<sample>.bin`` into a labeled dataset.
 
     Class names sorted lexicographically define the class indices; files
@@ -291,7 +287,7 @@ def load_dataset(root, truncate_to=None, split="train"):
             sequences.append(seq)
     if not sequences:
         raise DatasetError(f"no readable sequence under {root}")
-    return Dataset(sequences, class_count=len(names), split=split)
+    return Dataset(sequences, class_count=len(names))
 
 
 def class_names(root):
@@ -308,7 +304,7 @@ def subset_fraction(dataset, rho, seed):
     keep = math.ceil(round(rho * n, 9))
     order = np.random.default_rng([int(seed), 0x5F]).permutation(n)
     picked = [dataset[i] for i in order[:keep]]
-    return Dataset(picked, dataset.class_count, split=dataset.split)
+    return Dataset(picked, dataset.class_count)
 
 
 def split_dataset(dataset, train_fraction, seed):
@@ -322,7 +318,4 @@ def split_dataset(dataset, train_fraction, seed):
                            "for testing")
     train = [dataset[i] for i in order[:cut]]
     test = [dataset[i] for i in order[cut:]]
-    return (
-        Dataset(train, dataset.class_count, split="train"),
-        Dataset(test, dataset.class_count, split="test"),
-    )
+    return Dataset(train, dataset.class_count), Dataset(test, dataset.class_count)

@@ -79,16 +79,6 @@ def _unit(v, n):
     return 2.0 * v / (n - 1.0) - 1.0
 
 
-def normalize_coords(xs, ys, sensor_dims):
-    """Map pixel coordinates to [-1, 1] (endpoints land exactly on +-1)."""
-    w, h = sensor_dims
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    xn = _unit(xs, w) if w > 1 else np.zeros_like(xs)
-    yn = _unit(ys, h) if h > 1 else np.zeros_like(ys)
-    return xn, yn
-
-
 def clamped_input(event, sensor_dims):
     """Features (x_norm, y_norm, p_signed) of one event as Python floats,
     equal to its row of ``normalize_sequence`` bit for bit, whether its
@@ -105,8 +95,13 @@ def clamped_input(event, sensor_dims):
 
 def normalize_events(xs, ys, ps, sensor_dims):
     """Features (x_norm, y_norm, p_signed) of integer event columns of one
-    common shape, stacked on a new last axis."""
-    xn, yn = normalize_coords(xs, ys, sensor_dims)
+    common shape, stacked on a new last axis: the coordinates mapped to
+    [-1, 1], the endpoints exactly on +-1."""
+    w, h = sensor_dims
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    xn = _unit(xs, w) if w > 1 else np.zeros_like(xs)
+    yn = _unit(ys, h) if h > 1 else np.zeros_like(ys)
     return np.stack([xn, yn, 2.0 * ps - 1.0], axis=-1)
 
 

@@ -14,11 +14,11 @@ int64 range of the AER codecs.  A line longer than ``MAX_LINE`` bytes
 (its newline included) gets ``ERR long``, on stdin as over TCP; the rest
 of it is read and dropped, and the session goes on.
 The protocol runs over stdin/stdout or a TCP socket (one isolated session
-per connection, all sharing the read-only parameter store), and binary
-AER files can be replayed through it, paced by their timestamps or at
-full speed.  This module knows no model: the checkpoint's kind names the
-online session, and the session observes each event or replays a whole
-recording itself.
+per connection, all sharing the read-only parameter store).  A binary AER
+recording is replayed, on its own clock or at full speed, by the session's
+``replay`` (``model.OnlineSession.replay``), whose lines are those that
+``observe`` would give; ``observe`` serves the live lines.  This module
+knows no model: the checkpoint's kind names the online session.
 """
 
 import re
@@ -40,6 +40,8 @@ _T_LIMIT = 1 << 63
 # the most bytes of one line, its newline included, that the line loop
 # holds: far above the longest valid event line (about 50 bytes)
 MAX_LINE = 1024
+# events per chunk of a replay
+CHUNK = 256
 
 
 def make_session(ckpt):
@@ -137,19 +139,7 @@ def load_replay(path, sensor_dims):
     return decode(path.read_bytes(), sensor_dims=sensor_dims)
 
 
-def replay_events(seq, session, outfile, pace=True):
-    """Feed a decoded sequence through an online session, pacing by timestamps."""
-    prev_t = None
-    for event in seq:
-        if pace and prev_t is not None and event.t > prev_t:
-            time.sleep((event.t - prev_t) / 1e6)
-        prev_t = event.t
-        pred, posterior = session.observe(event)
-        outfile.write(format_prediction(event.t, pred, posterior) + "\n")
-    return len(seq)
-
-
-def fast_replay(seq, ckpt, outfile, chunk=256):
+def fast_replay(seq, ckpt, outfile, chunk=CHUNK):
     """Full-speed replay, writing the lines the per-event session would,
     byte for byte.
 
@@ -168,3 +158,23 @@ def fast_replay(seq, ckpt, outfile, chunk=256):
         outfile.write("\n".join([format_prediction(t, pred, posterior)
                                  for t, pred, posterior in rows]) + "\n")
     return len(seq), time.perf_counter() - started
+
+
+def paced_replay(seq, ckpt, outfile):
+    """Replay on the recording's clock: the lines of ``fast_replay``, each
+    written and flushed once the time since the replay began
+    (``time.monotonic``) reaches its event's time since the recording's
+    first event.  A line that is already late is written at once, so a
+    line is late by at most one chunk's work and one sleep's overshoot,
+    however long the recording."""
+    t0 = int(seq.ts[0]) if len(seq) else 0
+    write, flush, clock, sleep = outfile.write, outfile.flush, time.monotonic, time.sleep
+    chunks = make_session(ckpt).replay(seq, CHUNK)
+    started = clock()
+    for rows in chunks:
+        for t, pred, posterior in rows:
+            wait = (t - t0) / 1e6 - (clock() - started)
+            if wait > 0:
+                sleep(wait)
+            write(format_prediction(t, pred, posterior) + "\n")
+            flush()

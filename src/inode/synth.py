@@ -76,9 +76,10 @@ def moving_dot(class_id, seed, n_events, sensor_dims=(34, 34), noise_rate=0.0):
     return EventSequence(xs, ys, ps, ts, label=class_id, sensor_dims=(w, h))
 
 
-def moving_dot_dataset(n_classes, per_class, seed, n_events=400, noise_rate=0.05, split="train"):
+def moving_dot_dataset(n_classes, per_class, seed, n_events=400, noise_rate=0.05, split=None):
     """Balanced dataset of moving-dot sequences on the default 34 x 34
-    sensor, deterministic in ``seed``."""
+    sensor, deterministic in ``seed``.  ``split`` is ignored: the
+    benchmark's training workload still names the part it draws."""
     if n_classes > len(DIRECTIONS):
         raise ValueError(f"at most {len(DIRECTIONS)} motion classes available")
     sequences = []
@@ -88,7 +89,7 @@ def moving_dot_dataset(n_classes, per_class, seed, n_events=400, noise_rate=0.05
                 moving_dot(c, seed=(int(seed) << 20) + k, n_events=n_events,
                            noise_rate=noise_rate)
             )
-    return Dataset(sequences, class_count=n_classes, split=split)
+    return Dataset(sequences, class_count=n_classes)
 
 
 def scale_coordinates(seq, factor):

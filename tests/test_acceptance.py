@@ -37,10 +37,9 @@ def trained_two_class():
     Runs at least 10 epochs so the short-budget end of the accuracy curve
     settles, recording the epoch at which the 0.95 bar was first cleared.
     """
-    train_set = moving_dot_dataset(2, 1000, seed=SEED, n_events=400, noise_rate=0.05,
-                                   split="train")
+    train_set = moving_dot_dataset(2, 1000, seed=SEED, n_events=400, noise_rate=0.05)
     test_set = moving_dot_dataset(2, 250, seed=SEED + 7_000_003, n_events=400,
-                                  noise_rate=0.05, split="test")
+                                  noise_rate=0.05)
     config = RunConfig(model="inode", hidden=30, n_classes=2, s_len=100, epochs=50,
                        lr=1e-3, batch_size=100, seed=SEED, eval_lengths=(100,))
     trainer = Trainer(config, train_set, test_set)
@@ -147,8 +146,7 @@ def test_criterion_06_chance_level_sanity():
     # one random init can tilt a few points off 1/C, so the chance-level
     # reference is estimated as the mean over several untrained models
     stats_set = moving_dot_dataset(10, 20, seed=SEED + 50, n_events=300, noise_rate=0.05)
-    test_set = moving_dot_dataset(10, 50, seed=SEED + 5, n_events=300, noise_rate=0.05,
-                                  split="test")
+    test_set = moving_dot_dataset(10, 50, seed=SEED + 5, n_events=300, noise_rate=0.05)
     stats = compute_dq(stats_set)
     tables = []
     for k in range(5):
@@ -176,11 +174,11 @@ def test_criterion_07_parser_round_trip():
 
 
 def test_criterion_08_time_rescaling_invariance():
-    base = moving_dot_dataset(2, 20, seed=SEED + 8, n_events=200, split="train")
+    base = moving_dot_dataset(2, 20, seed=SEED + 8, n_events=200)
     scaled = type(base)(
         [EventSequence(s.xs, s.ys, s.ps, s.ts * 1000, label=s.label,
                        sensor_dims=s.sensor_dims) for s in base],
-        base.class_count, split="train")
+        base.class_count)
     stats_a = compute_dq(base)
     stats_b = compute_dq(scaled)
     dq_exact = stats_b.dq == 1000.0 * stats_a.dq
@@ -195,8 +193,8 @@ def test_criterion_08_time_rescaling_invariance():
 
 
 def test_criterion_09_reproducibility():
-    train_set = moving_dot_dataset(2, 30, seed=SEED + 10, n_events=150, split="train")
-    test_set = moving_dot_dataset(2, 10, seed=SEED + 11, n_events=150, split="test")
+    train_set = moving_dot_dataset(2, 30, seed=SEED + 10, n_events=150)
+    test_set = moving_dot_dataset(2, 10, seed=SEED + 11, n_events=150)
     config = RunConfig(model="inode", hidden=8, n_classes=2, s_len=25, epochs=3,
                        batch_size=20, seed=SEED, eval_lengths=(10, 25))
 
@@ -220,10 +218,9 @@ def test_criterion_10_nmnist_two_digit_long_mode():
     from inode.events import Dataset, load_dataset
 
     def two_classes(split, count):
-        ds = load_dataset(_nmnist_root() / split, truncate_to=2000,
-                          split=split.lower())
+        ds = load_dataset(_nmnist_root() / split, truncate_to=2000)
         kept = [s for s in ds if s.label in (0, 1)][:count]
-        return Dataset(kept, class_count=2, split=split.lower())
+        return Dataset(kept, class_count=2)
 
     train_set = two_classes("Train", 2000)
     test_set = two_classes("Test", 400)

@@ -266,6 +266,41 @@ def test_stream_replay_fast(trained, tmp_path):
     assert ts == list(np.asarray(seq.ts))
 
 
+@pytest.mark.parametrize("kind, learnable_h0", [("inode", False), ("inode", True),
+                                               ("lstm", False)],
+                         ids=["inode", "learnable_h0", "lstm"])
+def test_paced_and_fast_replay_write_the_per_event_text(tmp_path, kind, learnable_h0):
+    """With and without --fast the replay writes the same bytes, those of
+    ``observe`` on each event of the recording."""
+    from helpers import observed_rows
+    from inode import lstm, model
+    from inode.checkpoint import save_checkpoint
+    from inode.events import write_aer
+    from inode.preprocess import TimeStats
+    from inode.stream import format_prediction
+    from inode.synth import moving_dot
+    rng = np.random.default_rng(4)
+    if kind == "inode":
+        store = model.init_params(rng, 3, state_dim=6, learnable_h0=learnable_h0)
+        if learnable_h0:
+            store["h0"] = rng.uniform(-0.5, 0.5, store["h0"].shape)
+    else:
+        store = lstm.init_params(rng, 3, hidden=6)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, store, TimeStats(dq=100.0), kind=kind, n_classes=3, state_dim=6,
+                    features=3 if kind == "inode" else 4, sensor_dims=(34, 34))
+    seq = moving_dot(2, seed=8, n_events=300, noise_rate=0.2)
+    replay = tmp_path / "replay.bin"
+    replay.write_bytes(write_aer(seq))
+    texts = []
+    for fast in ([], ["--fast"]):
+        proc = run_cli("stream", "--ckpt", str(path), "--replay", str(replay), *fast)
+        assert proc.returncode == 0, proc.stderr
+        texts.append(proc.stdout)
+    rows = observed_rows(make_session(load_checkpoint(path)), seq, range(len(seq)))
+    assert texts == ["".join(format_prediction(*row) + "\n" for row in rows)] * 2
+
+
 def _data_root(root, per_class):
     """``root/<class>/<sample>.bin`` of moving-dot recordings, no train/ or test/."""
     from inode.events import write_aer
@@ -331,6 +366,27 @@ def test_a_test_split_without_a_readable_file_exits_2(trained, tmp_path, command
     # each skipped file is logged before the error
     assert proc.stderr.count("skipping") == 2
     assert proc.stderr.splitlines()[-1].startswith("error: no readable sequence under")
+
+
+def test_eval_reads_only_the_test_split(trained, tmp_path):
+    """eval scores test/ and decodes no file of train/: a train/ of
+    unreadable files leaves it untouched, and its class names are still
+    checked against test/'s."""
+    root = tmp_path / "data"
+    _data_root(root / "test", [3, 3])
+    for c in range(2):
+        (root / "train" / f"c{c}").mkdir(parents=True)
+        (root / "train" / f"c{c}" / "s00.bin").write_bytes(bytes(7))  # not whole records
+    json_out = tmp_path / "eval.json"
+    proc = run_cli("eval", "--ckpt", str(trained), "--data", str(root), "--lengths", "5",
+                   "--json-out", str(json_out))
+    assert proc.returncode == 0, proc.stderr
+    assert "skipping" not in proc.stderr
+    assert json_out.exists()
+    (root / "train" / "c1").rename(root / "train" / "d1")
+    proc = run_cli("eval", "--ckpt", str(trained), "--data", str(root), "--lengths", "5")
+    _assert_clean_exit_2(proc)
+    assert "only in train/ ['d1']" in proc.stderr
 
 
 def test_an_empty_recording_is_skipped_and_training_goes_on(tmp_path):

@@ -15,8 +15,8 @@ from inode.training import RunConfig, Trainer
 
 
 def _trainer(kind):
-    train_set = moving_dot_dataset(2, 4, seed=0, n_events=60, split="train")
-    test_set = moving_dot_dataset(2, 2, seed=1, n_events=60, split="test")
+    train_set = moving_dot_dataset(2, 4, seed=0, n_events=60)
+    test_set = moving_dot_dataset(2, 2, seed=1, n_events=60)
     config = RunConfig(model=kind, hidden=5, n_classes=2, s_len=10, batch_size=4, seed=2,
                        eval_lengths=(5, 10))
     return Trainer(config, train_set, test_set)

@@ -5,10 +5,13 @@ A top-level ``def`` or ``class`` in ``src/inode``, or a module-level
 UPPER_CASE constant, counts as used when code under ``src/inode``,
 ``bench/`` or ``demos/`` names it: as a name read, an attribute, an
 import, or a dotted string such as the benchmark's tracing targets.  A
-public method or annotated field of a public class counts as used when
-that code reads it as an attribute or names it in a dotted string; a
-constructor keyword is not a read.  Its own definition and the
-re-exports of ``__init__.py`` do not count.
+public method of a public class counts as used when that code calls it
+as an attribute or names it in a dotted string; an attribute of the same
+name that is only read, such as another class's field, is not a call.  A
+public property or annotated field counts as used when that code reads
+it as an attribute or names it in a dotted string; a constructor keyword
+is not a read.  Its own definition and the re-exports of
+``__init__.py`` do not count.
 
 A keyword parameter, one with a default, of a public top-level function
 counts as used when a call in that code passes it, by keyword, by
@@ -65,11 +68,13 @@ KERNELS = ("model._Step", "lstm._Cell")
 
 
 def _references(path):
-    """``(names, attributes)`` of one file: every name, attribute, import and
-    dotted-string part it holds, and the attributes it reads with the
-    dotted-string parts."""
-    names, attributes = set(), set()
+    """``(names, attributes, calls)`` of one file: every name, attribute,
+    import and dotted-string part it holds, the attributes it reads and
+    the attributes it calls, each with the dotted-string parts."""
+    names, attributes, calls = set(), set(), set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            calls.add(node.func.attr)
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -82,7 +87,8 @@ def _references(path):
               and re.fullmatch(r"[\w.]+", node.value)):
             names.update(node.value.split("."))
             attributes.update(node.value.split("."))
-    return names, attributes
+            calls.update(node.value.split("."))
+    return names, attributes, calls
 
 
 def _constants(node):
@@ -93,28 +99,33 @@ def _constants(node):
             if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)]
 
 
+def _is_property(function):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in function.decorator_list)
+
+
 def _public_definitions():
-    """``(qualified name, is a member)`` of every public top-level definition
-    and constant, and of every public method and annotated field of a
-    public class."""
+    """``(qualified name, use)`` of every public top-level definition and
+    constant (use "name"), of every public property and annotated field of
+    a public class ("read"), and of every other public method of one
+    ("call")."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             for name in _constants(node):
-                yield f"{path.stem}.{name}", False
+                yield f"{path.stem}.{name}", "name"
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            yield f"{path.stem}.{node.name}", False
+            yield f"{path.stem}.{node.name}", "name"
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef):
-                        name = member.name
+                        name, use = member.name, "read" if _is_property(member) else "call"
                     elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                        name = member.target.id
+                        name, use = member.target.id, "read"
                     else:
                         continue
                     if not name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{name}", True
+                        yield f"{path.stem}.{node.name}.{name}", use
 
 
 def _program_files():
@@ -173,12 +184,11 @@ def test_every_keyword_parameter_is_passed_or_has_a_reason():
 
 def test_every_public_definition_has_a_caller_or_a_reason():
     refs = [_references(path) for path in _program_files()]
-    names = set().union(*(n for n, _ in refs))
-    attributes = set().union(*(a for _, a in refs))
+    used = {use: set().union(*(ref[k] for ref in refs))
+            for k, use in enumerate(("name", "read", "call"))}
     definitions = list(_public_definitions())
-    assert any(member for _, member in definitions)
-    unused = [name for name, member in definitions
-              if name.rsplit(".", 1)[1] not in (attributes if member else names)]
+    assert {use for _, use in definitions} == set(used)
+    unused = [name for name, use in definitions if name.rsplit(".", 1)[1] not in used[use]]
     assert sorted(unused) == sorted(name for name in KEEP if not name.endswith("=)"))
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import observed_rows
 from inode import model, stream
 from inode.checkpoint import Checkpoint, save_checkpoint, load_checkpoint
 from inode.preprocess import TimeStats
@@ -31,6 +32,13 @@ def _ckpt(n_classes=2, seed=0, kind="inode", state_dim=30, learnable_h0=False):
 
 def _session(ckpt):
     return stream.LineSession(stream.make_session(ckpt))
+
+
+def _observed_text(ckpt, seq):
+    """The per-event path's text of a recording: ``observe`` on a fresh
+    session, one line per event."""
+    rows = observed_rows(stream.make_session(ckpt), seq, range(len(seq)))
+    return "".join(stream.format_prediction(*row) + "\n" for row in rows)
 
 
 def test_event_line_produces_one_prediction():
@@ -108,7 +116,7 @@ def test_stream_matches_offline_evaluation_prediction():
     correct = 0
     for trial in range(6):
         seq = moving_dot(trial % 2, seed=4 + trial, n_events=120, noise_rate=0.1)
-        test_set = Dataset([seq], class_count=2, split="test")
+        test_set = Dataset([seq], class_count=2)
         table = evaluate(ckpt.store, ckpt.stats, "inode", test_set, (n,), seed=eval_seed)
         # rebuild the exact window evaluate() sampled for this item
         rng = np.random.default_rng([eval_seed, 0xE7A1, n, 0])
@@ -210,9 +218,10 @@ def test_replay_file_round_trip(tmp_path):
     path.write_bytes(write_aer(seq))
     loaded = stream.load_replay(path, ckpt.sensor_dims)
     out = io.StringIO()
-    n = stream.replay_events(loaded, stream.make_session(ckpt), out, pace=False)
+    n, _ = stream.fast_replay(loaded, ckpt, out)
     assert n == 60
     assert len(out.getvalue().strip().split("\n")) == 60
+    assert out.getvalue() == _observed_text(ckpt, seq)
 
 
 @pytest.mark.parametrize("manifest", ['{"format": "aer32"}', '{"format": "aer16"', '["aer16"]'])
@@ -232,11 +241,81 @@ def test_fast_replay_agrees_with_per_event_path(kind, learnable_h0):
     ckpt = _ckpt(seed=10, n_classes=3, kind=kind, state_dim=30 if kind == "inode" else 7,
                  learnable_h0=learnable_h0)
     seq = moving_dot(1, seed=11, n_events=400, noise_rate=0.2)
-    slow_out, fast_out = io.StringIO(), io.StringIO()
-    stream.replay_events(seq, stream.make_session(ckpt), slow_out, pace=False)
+    fast_out = io.StringIO()
     n, _ = stream.fast_replay(seq, ckpt, fast_out)
     assert n == 400
-    assert fast_out.getvalue() == slow_out.getvalue()
+    assert fast_out.getvalue() == _observed_text(ckpt, seq)
+
+
+@pytest.mark.parametrize("kind, learnable_h0", [("inode", False), ("inode", True),
+                                               ("lstm", False)],
+                         ids=["plain", "learnable_h0", "lstm"])
+def test_paced_replay_writes_the_fast_replay_text(kind, learnable_h0):
+    ckpt = _ckpt(seed=10, n_classes=3, kind=kind, state_dim=30 if kind == "inode" else 7,
+                 learnable_h0=learnable_h0)
+    seq = moving_dot(1, seed=11, n_events=400, noise_rate=0.2)  # 40 ms of events
+    paced_out, fast_out = io.StringIO(), io.StringIO()
+    stream.paced_replay(seq, ckpt, paced_out)
+    stream.fast_replay(seq, ckpt, fast_out)
+    assert paced_out.getvalue() == fast_out.getvalue()
+
+
+class _FakeClock:
+    """``time.monotonic`` and ``time.sleep`` on a clock that moves only when
+    slept on, each sleep ``overshoot`` seconds longer than asked, and by
+    ``cost`` seconds for each line written to its ``sink``."""
+
+    def __init__(self, overshoot=0.0, cost=0.0):
+        self.now, self.overshoot, self.cost = 1000.0, overshoot, cost
+        self.sleeps, self.log = [], []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds + self.overshoot
+
+    def write(self, text):
+        self.log.append(("write", self.now, text))
+        self.now += self.cost
+        return len(text)
+
+    def flush(self):
+        self.log.append(("flush", self.now, None))
+
+
+def test_paced_replay_writes_each_line_on_time_and_does_not_drift(monkeypatch):
+    """Each line waits for its event's time since the first event and is
+    flushed; with every sleep 100 us long, the run ends within the span,
+    one overshoot and one chunk's work.  Sleeping each gap from the line
+    before would drift by 100 us per event, half a second here."""
+    ckpt = _ckpt(seed=5)
+    seq = moving_dot(0, seed=3, n_events=5000)
+    fast_out = io.StringIO()
+    stream.fast_replay(seq, ckpt, fast_out)
+    clock = _FakeClock(overshoot=100e-6, cost=2e-6)
+    monkeypatch.setattr(stream, "time", clock)
+    started = clock.now
+    stream.paced_replay(seq, ckpt, clock)
+    writes = [(at, text) for kind, at, text in clock.log if kind == "write"]
+    assert [kind for kind, _, _ in clock.log] == ["write", "flush"] * len(seq)
+    assert "".join(text for _, text in writes) == fast_out.getvalue()
+    due = (seq.ts - seq.ts[0]) / 1e6
+    late = [at - started - when for (at, _), when in zip(writes, due)]
+    bound = clock.overshoot + stream.CHUNK * clock.cost
+    assert min(late) >= 0 and max(late) <= bound
+    assert 0 < sum(clock.sleeps) <= due[-1]
+    assert clock.now - started <= due[-1] + bound
+
+
+def test_an_empty_recording_replays_to_nothing_without_sleeping(monkeypatch):
+    ckpt = _ckpt(seed=5)
+    empty = EventSequence(*(np.zeros(0, np.int64) for _ in range(4)))
+    clock = _FakeClock(overshoot=100e-6)
+    monkeypatch.setattr(stream, "time", clock)
+    stream.paced_replay(empty, ckpt, clock)
+    assert clock.log == [] and clock.sleeps == []
 
 
 @pytest.mark.parametrize("kind", ["inode", "lstm"])

@@ -69,7 +69,7 @@ def test_dataset_builder_balanced_and_labeled():
     ds = moving_dot_dataset(3, per_class=4, seed=6, n_events=50)
     assert len(ds) == 12
     assert ds.class_count == 3
-    counts = np.bincount(ds.labels(), minlength=3)
+    counts = np.bincount([seq.label for seq in ds], minlength=3)
     assert list(counts) == [4, 4, 4]
 
 

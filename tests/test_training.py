@@ -15,9 +15,8 @@ from inode.training import (
 
 
 def _tiny_sets(seed=0, per_class=8, n_events=80):
-    train_set = moving_dot_dataset(2, per_class, seed=seed, n_events=n_events, split="train")
-    test_set = moving_dot_dataset(2, per_class // 2, seed=seed + 999, n_events=n_events,
-                                  split="test")
+    train_set = moving_dot_dataset(2, per_class, seed=seed, n_events=n_events)
+    test_set = moving_dot_dataset(2, per_class // 2, seed=seed + 999, n_events=n_events)
     return train_set, test_set
 
 
@@ -81,7 +80,7 @@ def test_constant_predictor_scores_class_prevalence():
         store[name][:] = 0.0
     store["fcc_b"][0, 0] = 5.0  # always predicts class 0
     table = evaluate(store, TimeStats(dq=100.0), "inode", test_set, (5, 10), seed=0)
-    prevalence = float(np.mean(test_set.labels() == 0))
+    prevalence = float(np.mean([seq.label == 0 for seq in test_set]))
     assert table[5] == prevalence
     assert table[10] == prevalence
 
